@@ -13,6 +13,9 @@
 //    NOTE on reading the curve: worker scaling buys wall time only up to the
 //    host's core count; on a single-core host the whole curve is flat and
 //    the speedup comes from the fast engine + fast path alone.
+//    The traced_gate row times a profiler-attached, trace-only launch with
+//    64 sampled blocks, sequentially and on 4 workers; the two must report
+//    bit-identical stats and counters or the bench FAILS.
 // 2. Streams — the same four h2d→kernel→d2h pipelines pushed through one
 //    stream vs four, with measured wall-clock and the modeled
 //    serialized-vs-overlapped totals from the timeline.
@@ -31,7 +34,6 @@
 #include "common/str.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "cudalite/trace_arena.h"
 #include "exec/worker_pool.h"
 #include "prof/counters.h"
 #include "prof/profiler.h"
@@ -63,10 +65,6 @@ struct ScaleKernel {
 
 // Minimum acceptable (4-worker fast path) vs (legacy reference) speedup.
 constexpr double kFloorSpeedupW4 = 2.5;
-
-// Minimum acceptable (batched recorder) vs (legacy per-lane recorder) speedup
-// on the traced, profiler-attached path (ISSUE 9 / ROADMAP item 1).
-constexpr double kFloorSpeedupTraced = 2.0;
 
 int main(int argc, char** argv) {
   bench::Harness h(argc, argv, "rt_throughput");
@@ -135,21 +133,20 @@ int main(int argc, char** argv) {
     fast.emplace_back(workers,
                       run_matmul(workers, true, Fiber::default_backend()));
 
-  // ---- Part 1b: traced-path recorder dispatch (batched vs legacy) ----
+  // ---- Part 1b: the traced path ----
   // A profiler-attached launch with a deep trace sample and no functional
-  // pass, so the wall time is dominated by exactly what ISSUE 9 optimizes:
-  // recorder dispatch, trace storage, and the memory analyzers.  Both runs
-  // execute in this process via the ScopedTraceBatch override; modeled
-  // timing, trace summary, and every derived profiler counter must match
-  // bit-for-bit.
+  // pass, so the wall time is dominated by the trace pass: recorder
+  // dispatch, the trace arena, and the memory analyzers.  It runs
+  // sequentially and on a 4-worker pool, where each slot reuses its own
+  // arena across the blocks it traces; modeled timing, the full trace
+  // summary, and every derived profiler counter must match bit-for-bit.
   struct TracedRun {
     double seconds = 0;
     KernelTiming timing;
     TraceSummary trace;
     prof::KernelCounters counters;
   };
-  auto run_traced = [&](bool batched) -> TracedRun {
-    ScopedTraceBatch use_batch(batched);
+  auto run_traced = [&](WorkerPool* pool) -> TracedRun {
     Device dev;
     auto a = dev.alloc<float>(wl.a.size());
     auto b = dev.alloc<float>(wl.b.size());
@@ -163,6 +160,7 @@ int main(int argc, char** argv) {
     opt.sample_blocks = 64;
     opt.prof.sink = &p;
     opt.prof.kernel_name = "matmul_traced";
+    opt.pool = pool;
     const double t0 = now_seconds();
     const LaunchStats stats = launch(dev, Dim3(n / tile, n / tile),
                                      Dim3(tile, tile), opt, kernel, a, b, c);
@@ -170,16 +168,14 @@ int main(int argc, char** argv) {
     return {wall, stats.timing, stats.trace,
             prof::derive_counters(dev.spec(), stats)};
   };
-  const TracedRun traced_legacy = run_traced(false);
-  const TracedRun traced_batched = run_traced(true);
+  const TracedRun traced_seq = run_traced(nullptr);
+  WorkerPool traced_pool(4);
+  const TracedRun traced_w4 = run_traced(&traced_pool);
   const bool traced_identical =
-      traced_batched.timing.seconds == traced_legacy.timing.seconds &&
-      traced_batched.timing.kernel_cycles == traced_legacy.timing.kernel_cycles &&
-      traced_batched.trace == traced_legacy.trace &&
-      traced_batched.counters == traced_legacy.counters;
-  const double traced_speedup =
-      traced_batched.seconds > 0 ? traced_legacy.seconds / traced_batched.seconds
-                                 : 0.0;
+      traced_w4.timing.seconds == traced_seq.timing.seconds &&
+      traced_w4.timing.kernel_cycles == traced_seq.timing.kernel_cycles &&
+      traced_w4.trace == traced_seq.trace &&
+      traced_w4.counters == traced_seq.counters;
 
   // ---- Part 2: one stream vs four ----
   const int sn = 1 << 18;  // 1 MB buffers per pipeline
@@ -270,24 +266,20 @@ int main(int argc, char** argv) {
     row.set("floor_speedup_w4", kFloorSpeedupW4);
     row.set("wall_speedup_w4", fast_w4_speedup);
   }
-  h.human() << "traced-path recorder (prof attached, sample_blocks=64, no "
+  h.human() << "traced path (prof attached, sample_blocks=64, no "
                "functional pass):\n";
-  h.human() << "  legacy per-lane: " << fixed(traced_legacy.seconds, 4)
+  h.human() << "  sequential: " << fixed(traced_seq.seconds, 4)
             << " s wall\n";
-  h.human() << "  batched (arena): " << fixed(traced_batched.seconds, 4)
-            << " s wall (" << fixed(traced_speedup, 2)
-            << "x), stats bit identical: " << (traced_identical ? "yes" : "NO")
-            << "\n";
+  h.human() << "  pool w4:    " << fixed(traced_w4.seconds, 4)
+            << " s wall, stats bit identical: "
+            << (traced_identical ? "yes" : "NO") << "\n";
   {
-    // Gate row for the batched recorder path: same one-sided floor_ contract
-    // as fastpath_gate.  bit_identical compares modeled timing, the full
-    // TraceSummary (every warp counter and per-site row), and all derived
-    // profiler counters between the two recorder paths.
+    // bit_identical compares modeled timing, the full TraceSummary (every
+    // warp counter and per-site row), and all derived profiler counters
+    // between the sequential and the 4-worker launch.
     auto& row = h.result("traced_gate");
-    row.set("floor_speedup_traced", kFloorSpeedupTraced);
-    row.set("wall_speedup_traced", traced_speedup);
-    row.set("wall_seconds_legacy", traced_legacy.seconds);
-    row.set("wall_seconds_batched", traced_batched.seconds);
+    row.set("wall_seconds", traced_seq.seconds);
+    row.set("wall_seconds_w4", traced_w4.seconds);
     row.set("bit_identical", traced_identical ? 1 : 0);
   }
 
@@ -326,14 +318,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!traced_identical) {
-    std::cerr << "FAIL: batched recorder stats diverged from the legacy "
-                 "per-lane recorder\n";
-    return 1;
-  }
-  if (traced_speedup < kFloorSpeedupTraced) {
-    std::cerr << "FAIL: batched traced-path speedup " << fixed(traced_speedup, 2)
-              << "x vs the legacy recorder is below the "
-              << fixed(kFloorSpeedupTraced, 1) << "x floor\n";
+    std::cerr << "FAIL: traced-path stats on a 4-worker pool diverged from "
+                 "the sequential launch\n";
     return 1;
   }
   return rc;

@@ -14,9 +14,9 @@
 # the ones that exercise the WorkerPool (including its work-stealing deques),
 # the stream threads, the g80resil watchdog/cancellation machinery, the
 # atomic Device counters, the g80serve session/scheduler threads (many
-# concurrent unix-socket sessions sharing one device pool), and the per-slot
-# trace arenas of the batched recorder (each must stay private to the worker
-# owning its launch slot).  The sequential suite is
+# concurrent unix-socket sessions sharing one device pool), and the
+# per-slot trace arenas (each must stay private to the worker owning its
+# launch slot).  The sequential suite is
 # covered by check_sanitize.sh.  Note the fast fiber engine is compiled out
 # under TSan (no sanitizer annotations); requests for it degrade to the
 # annotated ucontext engine, so the backend-parameterized tests still run.

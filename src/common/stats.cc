@@ -23,25 +23,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  G80_CHECK(bins > 0 && hi > lo);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<long long>(t * static_cast<double>(counts_.size()));
-  i = std::clamp<long long>(i, 0, static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
 LogBuckets::LogBuckets(double first_upper, double growth, std::size_t n)
     : first_upper_(first_upper),
       growth_(growth),

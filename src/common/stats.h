@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace g80 {
 
@@ -31,33 +30,14 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-range histogram with uniform bins; out-of-range samples clamp to the
-// edge bins.  Used e.g. for coalescing-transaction distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-// Geometric (log-spaced) bucket layout, generalizing Histogram's uniform
-// bins for quantities that span orders of magnitude — request latencies in
-// g80obs being the motivating customer.  Bucket i covers
-// (first_upper * growth^(i-1), first_upper * growth^i]; values at or below
-// first_upper land in bucket 0 and values beyond the last bound clamp to the
-// final bucket, so index_for() is total.  The layout is pure arithmetic
-// (no storage): callers pair it with their own count array, which is what
-// lets obs::LatencyHistogram keep the counts in relaxed atomics.
+// Geometric (log-spaced) bucket layout for quantities that span orders of
+// magnitude — request latencies in g80obs being the motivating customer.
+// Bucket i covers (first_upper * growth^(i-1), first_upper * growth^i];
+// values at or below first_upper land in bucket 0 and values beyond the last
+// bound clamp to the final bucket, so index_for() is total.  The layout is
+// pure arithmetic (no storage): callers pair it with their own count array,
+// which is what lets obs::LatencyHistogram keep the counts in relaxed
+// atomics.
 class LogBuckets {
  public:
   // `first_upper` > 0, `growth` > 1, `n` >= 1.

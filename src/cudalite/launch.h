@@ -311,6 +311,12 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   // ---- Launch-configuration validation ----
   // Every violation records a sticky Status on the device (queryable via
   // get_last_error) and throws StatusError with full context.
+  if (!supported_trace_warp_size(spec.warp_size)) {
+    dev.raise(Status::kInvalidConfiguration,
+              "warp size " + std::to_string(spec.warp_size) +
+                  " is not an even number in [2, 32] (the trace recorder's "
+                  "lane masks are 32 bits wide)");
+  }
   if (threads < 1 || threads > spec.max_threads_per_block) {
     dev.raise(Status::kInvalidConfiguration,
               "block of " + std::to_string(threads) + " threads exceeds the " +
@@ -411,14 +417,9 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
       std::vector<BlockTrace> traces(samples.size());
       std::vector<std::vector<LaneTrace>> slot_lanes(
           static_cast<std::size_t>(slots));
-      // Batched recording (default; G80_TRACE_BATCH=off / ScopedTraceBatch
-      // forces the legacy per-lane pipeline): each slot owns a TraceArena
-      // whose SoA row capacity carries across the blocks it traces, so
-      // steady-state recording allocates nothing.  Both pipelines produce
-      // bit-identical BlockTraces (tests/trace_batch_test.cc).
-      const bool batch = trace_batch_enabled();
-      std::vector<TraceArena> slot_arenas(
-          batch ? static_cast<std::size_t>(slots) : 0);
+      // Each slot owns a TraceArena whose SoA row capacity carries across
+      // the blocks it traces, so steady-state recording allocates nothing.
+      std::vector<TraceArena> slot_arenas(static_cast<std::size_t>(slots));
       detail::for_each_block(
           pool, samples.size(),
           [&](int slot, std::uint64_t i) {
@@ -427,16 +428,12 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
             auto& lanes = slot_lanes[static_cast<std::size_t>(slot)];
             lanes.resize(static_cast<std::size_t>(threads));
             for (auto& l : lanes) l.clear();
-            TraceArena* arena = nullptr;
-            if (batch) {
-              auto& a = slot_arenas[static_cast<std::size_t>(slot)];
-              a.begin_block(spec, threads);
-              if (a.active()) arena = &a;
-            }
+            TraceArena& arena = slot_arenas[static_cast<std::size_t>(slot)];
+            arena.begin_block(spec, threads);
             BlockEnv env{&r, grid, block,
                          delinearize(static_cast<unsigned>(samples[i]), grid)};
             run_block(r, [&](int tid) {
-              TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], arena, tid));
+              TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], &arena, tid));
               kernel(ctx, args...);
             });
             traces[i] = collect_block_trace(spec, lanes, arena);

@@ -3,16 +3,11 @@
 // The same kernel source runs under two instantiations of Ctx<Recorder>:
 //  - NullRecorder: every hook is an empty inline function; the functional
 //    pass over the full grid runs at native C++ speed.
-//  - LaneRecorder: hooks append to the thread's LaneTrace for the timing
-//    model (used on sampled blocks only).  When a TraceArena is attached
-//    (the default traced path), memory accesses bypass the lane's AoS
-//    vectors and stream into the arena's per-(warp, space) SoA batches, and
-//    note_site replaces its linear scan with a last-site memo plus the
-//    arena's O(1) block-level intern table (trace_arena.h).  Without an
-//    arena (the G80_TRACE_BATCH=off escape hatch, or direct LaneRecorder
-//    construction) the original per-lane pipeline runs unchanged, byte for
-//    byte — it is the bit-identity reference tests/trace_batch_test.cc
-//    compares against.
+//  - LaneRecorder: feeds the timing model (used on sampled blocks only).
+//    Per-lane counts, branches and barriers go to the thread's LaneTrace;
+//    memory accesses stream into the block's TraceArena, one per-(warp,
+//    space) SoA batch each, and note_site is a last-site memo plus the
+//    arena's O(1) block-level intern table (trace_arena.h).
 #pragma once
 
 #include <cstdint>
@@ -45,19 +40,14 @@ class LaneRecorder {
   static constexpr bool kTracing = true;
   static constexpr bool kSanitizing = false;
 
-  // `arena` routes memory accesses into SoA batch streams (and, with it,
-  // `lane_id` locates this lane's warp slot); nullptr keeps the legacy
-  // per-lane AoS pipeline.
-  explicit LaneRecorder(LaneTrace* lane, TraceArena* arena = nullptr,
-                        int lane_id = 0)
-      : lane_(lane) {
-    if (arena != nullptr && arena->active()) {
-      arena_ = arena;
-      const int ws = arena->warp_size();
-      sub_ = lane_id % ws;
-      for (int s = 0; s < kNumTraceSpaces; ++s)
-        streams_[s] = arena->stream(lane_id / ws, s);
-    }
+  // `arena` has begun the block; `lane_id` (the thread's linear index in
+  // it) locates this lane's warp streams.
+  LaneRecorder(LaneTrace* lane, TraceArena* arena, int lane_id)
+      : lane_(lane), arena_(arena) {
+    const int ws = arena->warp_size();
+    sub_ = lane_id % ws;
+    for (int s = 0; s < kNumTraceSpaces; ++s)
+      streams_[s] = arena->stream(lane_id / ws, s);
   }
 
   void count(OpClass c, int n = 1) {
@@ -71,21 +61,8 @@ class LaneRecorder {
     note_site(site, loc);
     const bool store =
         c == OpClass::kStoreGlobal || c == OpClass::kStoreShared;
-    if (arena_ != nullptr) {
-      const int space = trace_space_of(c);
-      if (space >= 0) streams_[space]->record(sub_, site, size, store, addr);
-      return;
-    }
-    const MemAccess a{addr, size, site, true, store};
-    switch (c) {
-      case OpClass::kLoadGlobal:
-      case OpClass::kStoreGlobal: lane_->global.push_back(a); break;
-      case OpClass::kLoadShared:
-      case OpClass::kStoreShared: lane_->shared.push_back(a); break;
-      case OpClass::kLoadConst: lane_->constant.push_back(a); break;
-      case OpClass::kLoadTexture: lane_->texture.push_back(a); break;
-      default: break;
-    }
+    const int space = trace_space_of(c);
+    if (space >= 0) streams_[space]->record(sub_, site, size, store, addr);
   }
 
   void branch_outcome(bool taken, std::uint32_t site) {
@@ -99,28 +76,17 @@ class LaneRecorder {
 
  private:
   void note_site(std::uint32_t site, const std::source_location& loc) {
-    if (arena_ != nullptr) {
-      // Last-site memo (kernels hammer one site in a loop) + O(1) intern.
-      // Block-level dedup: the first lane in the block to use a site holds
-      // its note; the collector scans all lanes, so attribution is
-      // content-identical to the per-lane legacy notes.
-      if (last_site_ == site) return;
-      last_site_ = site;
-      if (arena_->intern_site(site))
-        lane_->site_notes.push_back({site, loc.file_name(), loc.line()});
-      return;
-    }
-    // Legacy reference path: most-recent memo, then an O(sites) scan.
-    auto& notes = lane_->site_notes;
-    if (!notes.empty() && notes.back().site == site) return;
-    for (const SiteNote& n : notes) {
-      if (n.site == site) return;
-    }
-    notes.push_back({site, loc.file_name(), loc.line()});
+    // Last-site memo (kernels hammer one site in a loop) + O(1) intern.
+    // Block-level dedup: the first lane in the block to use a site holds its
+    // note; the collector scans all lanes for it.
+    if (last_site_ == site) return;
+    last_site_ = site;
+    if (arena_->intern_site(site))
+      lane_->site_notes.push_back({site, loc.file_name(), loc.line()});
   }
 
   LaneTrace* lane_;
-  TraceArena* arena_ = nullptr;
+  TraceArena* arena_;
   WarpSpaceBatch* streams_[kNumTraceSpaces] = {};
   int sub_ = 0;                          // lane index within its warp
   std::uint64_t last_site_ = ~0ull;      // no site seen yet

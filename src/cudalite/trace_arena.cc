@@ -1,37 +1,10 @@
 #include "cudalite/trace_arena.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/error.h"
 
 namespace g80 {
-
-namespace {
-
-int& ambient_trace_batch_slot() {
-  thread_local int mode = -1;  // -1: follow the environment
-  return mode;
-}
-
-bool env_trace_batch() {
-  // Queried per launch (not cached) so tests can flip the variable between
-  // launches in one process.
-  const char* e = std::getenv("G80_TRACE_BATCH");
-  if (e == nullptr) return true;
-  return std::strcmp(e, "off") != 0 && std::strcmp(e, "0") != 0;
-}
-
-}  // namespace
-
-bool trace_batch_enabled() {
-  const int mode = ambient_trace_batch_slot();
-  if (mode >= 0) return mode != 0;
-  return env_trace_batch();
-}
-
-void set_ambient_trace_batch(int mode) { ambient_trace_batch_slot() = mode; }
-
-int ambient_trace_batch() { return ambient_trace_batch_slot(); }
 
 // ---------------------------------------------------------------------------
 // SiteInterner
@@ -92,10 +65,8 @@ void WarpSpaceBatch::reconstruct_lane(int sub,
 // ---------------------------------------------------------------------------
 
 void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
+  G80_CHECK(supported_trace_warp_size(spec.warp_size) && num_lanes > 0);
   warp_size_ = spec.warp_size;
-  active_ = num_lanes > 0 && warp_size_ >= 2 &&
-            warp_size_ <= WarpSpaceBatch::kMaxLanes && warp_size_ % 2 == 0;
-  if (!active_) return;
   num_warps_ = (num_lanes + warp_size_ - 1) / warp_size_;
   const std::size_t need =
       static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;

@@ -1,18 +1,11 @@
-// Arena-backed SoA trace storage for the trace pass (ROADMAP item 1:
-// "batch the trace pass's recorder dispatch the same way").
+// Arena-backed SoA trace storage: the trace pass's only recorder for memory
+// accesses.
 //
-// The legacy recording pipeline is AoS and per-lane: every `LaneRecorder::mem`
-// pushes a 24-byte MemAccess into the lane's own vector, and after the block
-// completes trace_collect.cc re-groups those per-lane streams into warp-level
-// instructions with per-access hash-map lookups.  That re-grouping — not the
-// kernel body — dominates traced wall time.
-//
-// The arena removes both costs by exploiting the same structural fact PR 8's
-// warp-batched stepping exploits: the BlockRunner resumes the lanes of a warp
-// in thread-index order, and within a converged warp every lane executes the
-// same instruction sequence between barriers.  So instead of grouping after
-// the fact, the arena reconstructs each warp-level memory instruction
-// *positionally while recording*:
+// The arena reconstructs each warp-level memory instruction *positionally
+// while recording*, exploiting the structural fact the exec layer's
+// warp-batched stepping exploits: the BlockRunner resumes the lanes of a
+// warp in thread-index order, and within a converged warp every lane
+// executes the same instruction sequence between barriers.
 //
 //   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
 //     one row per warp-level instruction — a packed static key
@@ -26,17 +19,17 @@
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
 //     then reconstructs the exact per-lane sequences (prefix rows + overflow)
-//     and runs the legacy (site, occurrence) grouping on them, so divergent
-//     warps produce bit-identical statistics through the slow path.
+//     and groups them by (site, occurrence-at-site), so divergent warps get
+//     the same warp-level instructions through the slow path.
 //
 // Why positional matching is exact for clean streams: every lane's matched
 // rows form a prefix [0, cursor), so row j groups exactly the lanes whose
-// j-th access it is, the shared key prefix makes the legacy key
-// (site, occurrence-at-site) of position j identical across lanes, and
-// first-appearance order equals row order.  tests/trace_batch_test.cc and
-// invariant-fuzz property 6 pin the resulting bit-identity; the
-// G80_TRACE_BATCH=off escape hatch (or ScopedTraceBatch) forces the legacy
-// pipeline for A/B comparison.
+// j-th access it is, the shared key prefix makes the (site, occurrence) key
+// of position j identical across lanes, and first-appearance order equals
+// row order.  tests/trace_batch_test.cc and invariant-fuzz property 6 pin
+// this: a block recorded with every stream forced dirty (`diverged = ~0u`
+// after begin_block, so every access takes the overflow + regroup path)
+// must collect to the same BlockTrace as the clean-row recording.
 #pragma once
 
 #include <array>
@@ -48,31 +41,6 @@
 #include "mem/access.h"
 
 namespace g80 {
-
-// ---------------------------------------------------------------------------
-// Batch gating: env default (G80_TRACE_BATCH=off|0 disables) overridable per
-// thread, the same ambient pattern as ScopedFastPath / ScopedLaunchPool.
-// ---------------------------------------------------------------------------
-
-// Whether the next launch's trace pass should record through the arena.
-// Consults the thread-local override first, then the environment.
-bool trace_batch_enabled();
-// Thread-local override: 1 force-on, 0 force-off, -1 follow the environment.
-void set_ambient_trace_batch(int mode);
-int ambient_trace_batch();
-
-class ScopedTraceBatch {
- public:
-  explicit ScopedTraceBatch(bool on) : prev_(ambient_trace_batch()) {
-    set_ambient_trace_batch(on ? 1 : 0);
-  }
-  ~ScopedTraceBatch() { set_ambient_trace_batch(prev_); }
-  ScopedTraceBatch(const ScopedTraceBatch&) = delete;
-  ScopedTraceBatch& operator=(const ScopedTraceBatch&) = delete;
-
- private:
-  int prev_;
-};
 
 // ---------------------------------------------------------------------------
 // Address spaces the recorder batches (dense index into TraceArena streams).
@@ -211,6 +179,13 @@ struct WarpSpaceBatch {
   void reconstruct_lane(int sub, std::vector<MemAccess>* out) const;
 };
 
+// Warp sizes the arena can record: even (compute-1.x half-warp rules) and no
+// wider than the 32-bit lane masks.  Every shipped DeviceSpec uses 32.
+constexpr bool supported_trace_warp_size(int warp_size) {
+  return warp_size >= 2 && warp_size <= WarpSpaceBatch::kMaxLanes &&
+         warp_size % 2 == 0;
+}
+
 // ---------------------------------------------------------------------------
 // Per-block arena: one WarpSpaceBatch per (warp, space) plus the site intern
 // table.  One arena per worker slot; all capacity is reused block-to-block.
@@ -218,12 +193,11 @@ struct WarpSpaceBatch {
 
 class TraceArena {
  public:
-  // Prepares for one block of `num_lanes` threads.  Batching requires the
-  // 32-bit lane masks to cover a warp; other warp sizes leave the arena
-  // inactive and the launch falls back to the legacy pipeline.
+  // Prepares for one block of `num_lanes` threads.  The 32-bit lane masks
+  // must cover a warp: launch validation rejects any other warp size
+  // (supported_trace_warp_size) before a block is traced.
   void begin_block(const DeviceSpec& spec, int num_lanes);
 
-  bool active() const { return active_; }
   int warp_size() const { return warp_size_; }
   int num_warps() const { return num_warps_; }
 
@@ -240,7 +214,6 @@ class TraceArena {
  private:
   std::vector<WarpSpaceBatch> streams_;
   SiteInterner sites_;
-  bool active_ = false;
   int warp_size_ = 0;
   int num_warps_ = 0;
 };

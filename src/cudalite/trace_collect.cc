@@ -33,11 +33,10 @@ struct InstKeyHash {
 // arbitrary per-lane access sequences (lane k's sequence is `get(k)`):
 // groups by (site, occurrence) and returns them in first-appearance order.
 // This is the exact semantics the arena's positional rows reproduce for
-// clean streams; dirty streams and the legacy pipeline come through here.
+// clean streams; dirty streams come through here.
 template <class GetSeq>
-std::vector<WarpAccess> group_warp_instructions_impl(int lane_count,
-                                                     GetSeq&& get,
-                                                     int warp_size) {
+std::vector<WarpAccess> group_warp_instructions(int lane_count, GetSeq&& get,
+                                                int warp_size) {
   std::unordered_map<InstKey, std::size_t, InstKeyHash> index;
   std::vector<WarpAccess> groups;
   std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
@@ -53,17 +52,6 @@ std::vector<WarpAccess> group_warp_instructions_impl(int lane_count,
     }
   }
   return groups;
-}
-
-std::vector<WarpAccess> group_warp_instructions(
-    const std::vector<LaneTrace>& lanes, int lo, int hi,
-    std::vector<MemAccess> LaneTrace::*space, int warp_size) {
-  return group_warp_instructions_impl(
-      hi - lo,
-      [&](int k) -> const std::vector<MemAccess>& {
-        return lanes[static_cast<std::size_t>(lo + k)].*space;
-      },
-      warp_size);
 }
 
 // The call site of one reconstructed warp instruction: every grouped lane
@@ -118,8 +106,8 @@ class SiteAccumulator {
 };
 
 // ---------------------------------------------------------------------------
-// Per-instruction accumulation, shared verbatim by the batched (SoA row) and
-// legacy (WarpAccess group) paths so the two cannot drift apart.
+// Per-instruction accumulation, shared verbatim by the clean (SoA row) and
+// dirty (WarpAccess group) paths so the two cannot drift apart.
 // ---------------------------------------------------------------------------
 
 void accumulate_global(WarpTrace& wt, SiteAccumulator& sites,
@@ -187,8 +175,8 @@ void accumulate_texture(const DeviceSpec& spec, WarpTrace& wt,
 }
 
 // Exact per-lane sequences of a dirty (positionally-diverged) batch stream:
-// each lane's matched prefix rows plus its overflow tail, regrouped through
-// the legacy (site, occurrence) path.  `scratch` is reused across streams.
+// each lane's matched prefix rows plus its overflow tail, regrouped by
+// (site, occurrence).  `scratch` is reused across streams.
 std::vector<WarpAccess> regroup_dirty_stream(
     const WarpSpaceBatch& s, int lane_count,
     std::vector<std::vector<MemAccess>>& scratch) {
@@ -196,7 +184,7 @@ std::vector<WarpAccess> regroup_dirty_stream(
     scratch.resize(static_cast<std::size_t>(lane_count));
   for (int k = 0; k < lane_count; ++k)
     s.reconstruct_lane(k, &scratch[static_cast<std::size_t>(k)]);
-  return group_warp_instructions_impl(
+  return group_warp_instructions(
       lane_count,
       [&](int k) -> const std::vector<MemAccess>& {
         return scratch[static_cast<std::size_t>(k)];
@@ -204,20 +192,36 @@ std::vector<WarpAccess> regroup_dirty_stream(
       s.stride);
 }
 
+// Feeds every warp-level instruction of one stream to `on_row(site, store,
+// SoaWarpAccess)` when the stream is clean — its rows ARE the grouped
+// instruction sequence, in first-appearance order — or to `on_group(site,
+// store, WarpAccess)` after regrouping a dirty stream.
+template <class OnRow, class OnGroup>
+void for_each_instruction(const WarpSpaceBatch& s, int lane_count,
+                          std::vector<std::vector<MemAccess>>& scratch,
+                          OnRow&& on_row, OnGroup&& on_group) {
+  if (!s.dirty()) {
+    for (std::size_t j = 0; j < s.rows(); ++j) {
+      const std::uint64_t key = s.keys[j];
+      on_row(trace_key_site(key), trace_key_store(key),
+             SoaWarpAccess{s.masks[j], trace_key_size(key), s.row_addrs(j),
+                           s.stride});
+    }
+    return;
+  }
+  for (const WarpAccess& acc : regroup_dirty_stream(s, lane_count, scratch))
+    on_group(group_site(acc), group_store(acc), acc);
+}
+
 }  // namespace
 
 BlockTrace collect_block_trace(const DeviceSpec& spec,
-                               const std::vector<LaneTrace>& lanes) {
-  return collect_block_trace(spec, lanes, nullptr);
-}
-
-BlockTrace collect_block_trace(const DeviceSpec& spec,
                                const std::vector<LaneTrace>& lanes,
-                               const TraceArena* arena) {
+                               const TraceArena& arena) {
   G80_CHECK(!lanes.empty());
   const int ws = spec.warp_size;
   const int num_warps = (static_cast<int>(lanes.size()) + ws - 1) / ws;
-  const bool batched = arena != nullptr && arena->active();
+  G80_CHECK(arena.warp_size() == ws && arena.num_warps() == num_warps);
 
   BlockTrace block;
   block.warps.resize(num_warps);
@@ -235,7 +239,7 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
     const int hi = std::min<int>(lo + ws, static_cast<int>(lanes.size()));
 
     // --- Instruction counts: per-class max over lanes (exact when the warp
-    // is divergence-free; see lane_trace.h). ---
+    // is divergence-free). ---
     for (std::size_t c = 0; c < kNumOpClasses; ++c) {
       std::uint64_t mx = 0;
       for (int k = lo; k < hi; ++k)
@@ -265,105 +269,56 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
       }
     }
 
-    // The warp's instruction stream per space: a clean batch stream IS the
-    // grouped instruction sequence (one SoA row per warp-level instruction,
-    // in first-appearance order) and feeds the *_soa analyzers directly; a
-    // dirty stream or the legacy pipeline goes through (site, occurrence)
-    // regrouping and the AoS analyzers.
-    const WarpSpaceBatch* bg =
-        batched ? &arena->stream(w, kSpaceGlobal) : nullptr;
-    const WarpSpaceBatch* bs =
-        batched ? &arena->stream(w, kSpaceShared) : nullptr;
-    const WarpSpaceBatch* bc =
-        batched ? &arena->stream(w, kSpaceConst) : nullptr;
-    const WarpSpaceBatch* bt =
-        batched ? &arena->stream(w, kSpaceTexture) : nullptr;
+    const int lanes_in_warp = hi - lo;
 
     // --- Global memory: coalescing per warp-level instruction ---
-    if (bg != nullptr && !bg->dirty()) {
-      for (std::size_t j = 0; j < bg->rows(); ++j) {
-        const std::uint64_t key = bg->keys[j];
-        const SoaWarpAccess row{bg->masks[j], trace_key_size(key),
-                                bg->row_addrs(j), bg->stride};
-        accumulate_global(wt, sites, trace_key_site(key),
-                          trace_key_store(key), analyze_warp_soa(spec, row));
-      }
-    } else {
-      const auto groups =
-          bg != nullptr
-              ? regroup_dirty_stream(*bg, hi - lo, scratch)
-              : group_warp_instructions(lanes, lo, hi, &LaneTrace::global, ws);
-      for (const WarpAccess& acc : groups) {
-        accumulate_global(wt, sites, group_site(acc), group_store(acc),
-                          analyze_warp(spec, acc));
-      }
-    }
+    for_each_instruction(
+        arena.stream(w, kSpaceGlobal), lanes_in_warp, scratch,
+        [&](std::uint32_t site, bool store, const SoaWarpAccess& row) {
+          accumulate_global(wt, sites, site, store,
+                            analyze_warp_soa(spec, row));
+        },
+        [&](std::uint32_t site, bool store, const WarpAccess& acc) {
+          accumulate_global(wt, sites, site, store, analyze_warp(spec, acc));
+        });
 
     // --- Shared memory: bank conflicts ---
-    if (bs != nullptr && !bs->dirty()) {
-      for (std::size_t j = 0; j < bs->rows(); ++j) {
-        const std::uint64_t key = bs->keys[j];
-        const SoaWarpAccess row{bs->masks[j], trace_key_size(key),
-                                bs->row_addrs(j), bs->stride};
-        accumulate_shared(wt, sites, trace_key_site(key),
-                          analyze_shared_warp_soa(spec, row));
-      }
-    } else {
-      const auto groups =
-          bs != nullptr
-              ? regroup_dirty_stream(*bs, hi - lo, scratch)
-              : group_warp_instructions(lanes, lo, hi, &LaneTrace::shared, ws);
-      for (const WarpAccess& acc : groups) {
-        accumulate_shared(wt, sites, group_site(acc),
-                          analyze_shared_warp(spec, acc));
-      }
-    }
+    for_each_instruction(
+        arena.stream(w, kSpaceShared), lanes_in_warp, scratch,
+        [&](std::uint32_t site, bool, const SoaWarpAccess& row) {
+          accumulate_shared(wt, sites, site,
+                            analyze_shared_warp_soa(spec, row));
+        },
+        [&](std::uint32_t site, bool, const WarpAccess& acc) {
+          accumulate_shared(wt, sites, site, analyze_shared_warp(spec, acc));
+        });
 
     // --- Constant memory: broadcast vs serialization ---
-    if (bc != nullptr && !bc->dirty()) {
-      for (std::size_t j = 0; j < bc->rows(); ++j) {
-        const std::uint64_t key = bc->keys[j];
-        const SoaWarpAccess row{bc->masks[j], trace_key_size(key),
-                                bc->row_addrs(j), bc->stride};
-        accumulate_const(wt, sites, trace_key_site(key),
-                         analyze_const_warp_soa(spec, row));
-      }
-    } else {
-      const auto groups =
-          bc != nullptr ? regroup_dirty_stream(*bc, hi - lo, scratch)
-                        : group_warp_instructions(lanes, lo, hi,
-                                                  &LaneTrace::constant, ws);
-      for (const WarpAccess& acc : groups) {
-        accumulate_const(wt, sites, group_site(acc),
-                         analyze_const_warp(spec, acc));
-      }
-    }
+    for_each_instruction(
+        arena.stream(w, kSpaceConst), lanes_in_warp, scratch,
+        [&](std::uint32_t site, bool, const SoaWarpAccess& row) {
+          accumulate_const(wt, sites, site, analyze_const_warp_soa(spec, row));
+        },
+        [&](std::uint32_t site, bool, const WarpAccess& acc) {
+          accumulate_const(wt, sites, site, analyze_const_warp(spec, acc));
+        });
 
     // --- Texture: run the cache in warp-instruction order ---
-    if (bt != nullptr && !bt->dirty()) {
-      for (std::size_t j = 0; j < bt->rows(); ++j) {
-        const std::uint64_t key = bt->keys[j];
-        const SoaWarpAccess row{bt->masks[j], trace_key_size(key),
-                                bt->row_addrs(j), bt->stride};
-        const auto res = tex_cache.access_warp_soa(row);
-        accumulate_texture(spec, wt, sites, trace_key_site(key), res.hits,
-                           res.misses);
-      }
-    } else {
-      const auto groups =
-          bt != nullptr ? regroup_dirty_stream(*bt, hi - lo, scratch)
-                        : group_warp_instructions(lanes, lo, hi,
-                                                  &LaneTrace::texture, ws);
-      for (const WarpAccess& acc : groups) {
-        std::uint64_t hits = 0, misses = 0;
-        for (const MemAccess& a : acc) {
-          if (!a.active) continue;
-          if (tex_cache.access(a.addr)) ++hits;
-          else ++misses;
-        }
-        accumulate_texture(spec, wt, sites, group_site(acc), hits, misses);
-      }
-    }
+    for_each_instruction(
+        arena.stream(w, kSpaceTexture), lanes_in_warp, scratch,
+        [&](std::uint32_t site, bool, const SoaWarpAccess& row) {
+          const auto res = tex_cache.access_warp_soa(row);
+          accumulate_texture(spec, wt, sites, site, res.hits, res.misses);
+        },
+        [&](std::uint32_t site, bool, const WarpAccess& acc) {
+          std::uint64_t hits = 0, misses = 0;
+          for (const MemAccess& a : acc) {
+            if (!a.active) continue;
+            if (tex_cache.access(a.addr)) ++hits;
+            else ++misses;
+          }
+          accumulate_texture(spec, wt, sites, site, hits, misses);
+        });
 
     // --- Barriers: warp-level count per call site (max over lanes, the same
     // convention as the per-class instruction counts above). ---

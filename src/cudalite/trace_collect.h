@@ -1,16 +1,12 @@
-// Aggregates per-lane traces of one block into warp-level traces:
-// reconstructs each warp-level memory instruction from the lanes' k-th
-// accesses, runs the coalescing / bank-conflict / constant-broadcast
-// analyzers, simulates the texture cache, and detects branch divergence.
+// Aggregates one traced block into warp-level traces: reads each warp's
+// memory instructions off the block's TraceArena, runs the coalescing /
+// bank-conflict / constant-broadcast analyzers, simulates the texture cache,
+// and detects branch divergence from the lanes' LaneTraces.
 //
-// Two entry points produce bit-identical BlockTraces:
-//  - the legacy form groups each lane's AoS access vectors by
-//    (site, occurrence) with per-access hash lookups;
-//  - the arena form (cudalite/trace_arena.h) reads warp-level instructions
-//    straight off the arena's SoA batch rows — clean streams skip grouping
-//    and feed the streaming *_soa analyzers; dirty (positionally-diverged)
-//    streams are reconstructed per lane and regrouped through the legacy
-//    path.
+// A clean arena stream IS the warp's instruction sequence (one SoA row per
+// warp-level instruction) and feeds the streaming *_soa analyzers directly.
+// A dirty (positionally-diverged) stream is reconstructed per lane and
+// regrouped by (site, occurrence-at-site) before the AoS analyzers run.
 #pragma once
 
 #include <vector>
@@ -23,13 +19,9 @@ namespace g80 {
 
 class TraceArena;
 
-BlockTrace collect_block_trace(const DeviceSpec& spec,
-                               const std::vector<LaneTrace>& lanes);
-
-// Arena-aware overload: `arena` holds the block's batched access streams
-// (nullptr or an inactive arena falls back to the lanes' AoS vectors).
+// `arena` holds the access streams of the block whose lanes are `lanes`.
 BlockTrace collect_block_trace(const DeviceSpec& spec,
                                const std::vector<LaneTrace>& lanes,
-                               const TraceArena* arena);
+                               const TraceArena& arena);
 
 }  // namespace g80

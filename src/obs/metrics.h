@@ -84,10 +84,9 @@ class Gauge {
 };
 
 // Log-bucketed histogram for latency-like quantities spanning orders of
-// magnitude.  Bucket layout comes from common/stats.h's LogBuckets
-// (generalizing the fixed-range Histogram there); counts are relaxed
-// atomics, the sum accumulates in integer nanounits so observe() needs no
-// CAS loop and totals stay exact under concurrency.
+// magnitude.  Bucket layout comes from common/stats.h's LogBuckets; counts
+// are relaxed atomics, the sum accumulates in integer nanounits so observe()
+// needs no CAS loop and totals stay exact under concurrency.
 class LatencyHistogram {
  public:
   // Default layout: 1 µs first bucket, ×2 growth, 28 buckets — covers

@@ -76,9 +76,9 @@ struct KernelCounters {
   double divergent_branch_fraction() const;
 
   KernelCounters& operator+=(const KernelCounters& o);
-  // Exact equality: counters are pure functions of the trace pass, so the
-  // batched and legacy recorder paths must agree on every field
-  // (tests/trace_batch_test.cc, bench/rt_throughput.cc traced gate).
+  // Exact equality: counters are pure functions of the trace pass, so a
+  // launch must reproduce every field whatever worker count traced it
+  // (bench/rt_throughput.cc traced gate).
   bool operator==(const KernelCounters&) const = default;
 };
 

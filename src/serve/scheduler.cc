@@ -65,18 +65,18 @@ struct Scheduler::Impl {
         ScopedAttemptObserver scoped(job.hooks.attempts);
         out = run_job(dev, job.req, cfg.policy);
       }
-      if (out.status != Status::kSuccess) {
-        // Cross-session isolation: tear the device down to a pristine state
-        // before the next session's job binds to this slot.  Drain the
-        // sticky error too — run_job already reported it.
-        dev.get_last_error();
-        dev.reset();
-        if (job.hooks.on_event) {
-          try {
-            job.hooks.on_event("device_reset",
-                               std::string(status_token(out.status)));
-          } catch (...) {
-          }
+      // Every job hands the slot back pristine.  Device allocation is a bump
+      // cursor, so without a reset successful jobs would use up the slot's
+      // address space; after a failure the reset also drains the sticky
+      // error (run_job already reported it) so one session's fault cannot
+      // leak into the next session's job.  Job transfer deltas read the
+      // ledger's lifetime counters, which a reset keeps.
+      dev.reset();
+      if (out.status != Status::kSuccess && job.hooks.on_event) {
+        try {
+          job.hooks.on_event("device_reset",
+                             std::string(status_token(out.status)));
+        } catch (...) {
         }
       }
       {

@@ -8,11 +8,12 @@
 // Isolation is the point of the design:
 //   - every job runs under the pool's ResiliencePolicy (wall watchdog,
 //     bounded retries), so a wedged or slow job cannot hold a slot forever;
-//   - after any failed job the slot's Device is reset() and its sticky
-//     error drained before the next job binds, so one session's
-//     programming-model violation can never leak status — or execution
-//     state — into another session's job (the `robust` soak test asserts
-//     this end to end);
+//   - after every job the slot's Device is reset(): its address space is
+//     reclaimed and any sticky error drained before the next job binds, so
+//     one session's programming-model violation can never leak status — or
+//     execution state — into another session's job (the `robust` soak test
+//     asserts this end to end).  Only the resets after failed jobs count
+//     in SchedulerStats::device_resets and emit a "device_reset" event;
 //   - admission control is queue-depth backpressure: submit() rejects with
 //     StatusError(kNotReady) once a class's queue is full, instead of
 //     letting latency grow without bound.
@@ -67,7 +68,7 @@ struct ClassQueueStats {
 struct SchedulerStats {
   std::uint64_t jobs_ok = 0;
   std::uint64_t jobs_failed = 0;
-  std::uint64_t device_resets = 0;
+  std::uint64_t device_resets = 0;  // after failed jobs only
   std::uint64_t rejected_not_ready = 0;
   std::size_t queue_depth = 0;  // queued across all classes, excl. running
   int running = 0;

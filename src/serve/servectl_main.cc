@@ -5,8 +5,8 @@
 //   g80servectl SOCKET metrics [format=prom|json]
 //   g80servectl SOCKET traces [format=json|chrome]
 //   g80servectl SOCKET shutdown
-//   g80servectl SOCKET launch|autotune|profile kernel=saxpy n=65536 \
-//       [seed=N] [tile=N] [variant=NAME] [device_class=gtx|ultra|gts] \
+//   g80servectl SOCKET launch|autotune|profile kernel=saxpy n=65536
+//       [seed=N] [tile=N] [variant=NAME] [device_class=gtx|ultra|gts]
 //       [fault=KIND] [no_cache=1]
 //
 // Prints the response line (the full JSON document) to stdout; exits 0 when

@@ -30,7 +30,6 @@ KernelTiming simulate_kernel(const DeviceSpec& spec, const Occupancy& occ,
 
   const DramModel dram(spec);
   const double N = occ.active_warps_per_sm;         // resident warps per SM
-  const double warps_per_block = summary.warps_per_block();
   const double L = spec.global_latency_cycles;
 
   // --- Per-warp means from the trace ---

@@ -118,23 +118,6 @@ TEST(RunningStat, SingleElementHasZeroVariance) {
   EXPECT_EQ(s.mean(), 3.5);
 }
 
-// ---- Histogram --------------------------------------------------------------
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(15.0);   // clamps to bin 9
-  h.add(5.0);    // bin 5
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
 // ---- rel_err ----------------------------------------------------------------
 
 TEST(RelErr, Basics) {

@@ -340,7 +340,7 @@ TEST(WorkStealing, SkewedCostsStillRunEveryIndexExactlyOnce) {
     // other slots drain and must steal from it to finish.
     if (i < total / 8) {
       volatile std::uint64_t sink = 0;
-      for (int k = 0; k < 2000; ++k) sink += k;
+      for (int k = 0; k < 2000; ++k) sink = sink + k;
     }
     hits[i].fetch_add(1);
   });

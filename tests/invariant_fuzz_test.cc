@@ -22,10 +22,13 @@
 //      x {fast/ucontext fiber engine} all produce bit-identical outputs, and
 //      the fast-path LaunchStats themselves are identical whichever
 //      scheduler ran them (empty trace/timing, same occupancy footprint);
-//   6. batched trace recording (cudalite/trace_arena.h) is invisible: for
-//      every random configuration, {batched/legacy recorder} x {sequential,
-//      pooled 2, pooled 4} x {fast/ucontext fiber engine} agree on outputs,
-//      the full trace summary, and modeled timing, bit for bit.
+//   6. the trace recorder (cudalite/trace_arena.h) is exact and scheduling-
+//      invariant: for every random configuration, the sequential launch's
+//      trace summary equals the block-level oracle's (every sampled block
+//      recorded with all streams forced onto the divergence fallback, see
+//      block_trace_oracle.h), and {sequential, pooled 2, pooled 4} x
+//      {fast/ucontext fiber engine} agree with the sequential run on
+//      outputs, the full trace summary, and modeled timing, bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -33,11 +36,11 @@
 #include <string>
 #include <vector>
 
+#include "block_trace_oracle.h"
 #include "common/error.h"
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "cudalite/trace_arena.h"
 #include "exec/fiber.h"
 #include "exec/worker_pool.h"
 
@@ -272,7 +275,24 @@ TEST(InvariantFuzz, FastPathInvisibleAcrossSchedulersAndFiberEngines) {
   }
 }
 
-TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
+// Trace summary of `c`'s launch per the block-level all-dirty oracle.
+TraceSummary oracle_trace(const FuzzConfig& c,
+                          const std::vector<float>& input) {
+  Device dev;
+  auto in = dev.alloc<float>(static_cast<std::size_t>(c.n()));
+  auto out = dev.alloc<float>(static_cast<std::size_t>(c.n()));
+  in.copy_from_host(input);
+  const Dim3 grid(static_cast<unsigned>(c.blocks));
+  const Dim3 block(static_cast<unsigned>(c.threads));
+  if (c.cooperative) {
+    return oracle_summary(dev.spec(), grid, block, true, c.sample_blocks,
+                          ReverseKernel{}, in, out);
+  }
+  return oracle_summary(dev.spec(), grid, block, false, c.sample_blocks,
+                        MadStreamKernel{c.n(), c.scale}, in, out);
+}
+
+TEST(InvariantFuzz, TraceRecorderMatchesOracleAcrossSchedulersAndFiberEngines) {
   std::mt19937 rng(fuzz_seed() + 5);
   WorkerPool pool2(2);
   WorkerPool pool4(4);
@@ -283,15 +303,11 @@ TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
     const auto c = random_config(rng);
     const auto input = random_input(rng, c.n());
 
-    // Legacy-recorder sequential run is the reference.
-    std::vector<float> ref_out;
-    LaunchStats ref_stats;
-    {
-      ScopedTraceBatch off(false);
-      std::tie(ref_out, ref_stats) = run_config(c, input, base_options(c));
-    }
+    // The sequential run on the default engine is the reference; its
+    // trace must be the oracle's.
+    const auto [ref_out, ref_stats] = run_config(c, input, base_options(c));
+    EXPECT_TRUE(oracle_trace(c, input) == ref_stats.trace) << c.str();
 
-    ScopedTraceBatch on(true);
     for (Fiber::Backend backend : backends) {
       for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &pool2,
                                &pool4}) {
@@ -305,7 +321,7 @@ TEST(InvariantFuzz, BatchedRecorderInvisibleAcrossSchedulersAndFiberEngines) {
             (backend == Fiber::Backend::kFast ? "fast" : "ucontext");
         EXPECT_EQ(ref_out, out) << label;
         // The entire trace summary — every warp counter, DRAM byte, and
-        // per-site attribution row — must match the legacy recorder.
+        // per-site attribution row — must match the sequential run.
         EXPECT_TRUE(ref_stats.trace == stats.trace) << label;
         EXPECT_EQ(ref_stats.timing.seconds, stats.timing.seconds) << label;
         EXPECT_EQ(ref_stats.timing.kernel_cycles, stats.timing.kernel_cycles)

@@ -425,6 +425,29 @@ TEST(LaunchStatus, ThreeDimensionalGridIsInvalidConfiguration) {
   EXPECT_EQ(dev.get_last_error(), Status::kInvalidConfiguration);
 }
 
+TEST(LaunchStatus, UnrecordableWarpSizeIsInvalidConfiguration) {
+  // The trace recorder's lane masks are 32 bits wide and the analyzers
+  // split warps into two half-warps: 64 is too wide, 31 is odd.  Rejected
+  // as a configuration error even when no trace pass would run.
+  for (const int warp_size : {64, 31}) {
+    for (const bool fast_path : {false, true}) {
+      DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
+      spec.warp_size = warp_size;
+      Device dev(spec);
+      auto d = dev.alloc<float>(64);
+      LaunchOptions opt;
+      opt.fast_path = fast_path;
+      const auto [code, msg] = catch_status(
+          [&] { launch(dev, Dim3(1), Dim3(64), opt, Mad4Kernel{}, d); });
+      EXPECT_EQ(code, Status::kInvalidConfiguration) << msg;
+      EXPECT_NE(msg.find("warp size " + std::to_string(warp_size)),
+                std::string::npos)
+          << msg;
+      EXPECT_EQ(dev.get_last_error(), Status::kInvalidConfiguration);
+    }
+  }
+}
+
 TEST(LaunchStatus, RegisterFileExhaustionIsLaunchOutOfResources) {
   Device dev;
   auto d = dev.alloc<float>(16);

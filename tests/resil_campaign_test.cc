@@ -84,10 +84,12 @@ TEST_F(CampaignSmoke, BarrierFaultsOnlyRunOnBarrierTargets) {
     if (t.has_shared_store) shared_targets.insert(t.name);
   }
   for (const auto& c : report().cases) {
-    if (c.kind == FaultKind::kSkipBarrier)
+    if (c.kind == FaultKind::kSkipBarrier) {
       EXPECT_TRUE(barrier_targets.count(c.target)) << c.target;
-    if (c.kind == FaultKind::kCorruptSharedStore)
+    }
+    if (c.kind == FaultKind::kCorruptSharedStore) {
       EXPECT_TRUE(shared_targets.count(c.target)) << c.target;
+    }
   }
 }
 

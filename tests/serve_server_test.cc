@@ -293,6 +293,33 @@ TEST(ServeServer, FaultJobsReturnTypedErrorsAndAreNotCached) {
   server.shutdown();
 }
 
+TEST(ServeServer, SuccessfulJobsReturnTheirSlotsDeviceMemory) {
+  // A slot's device allocates bump-style from its 768 MiB (GTX); each job
+  // below takes 192 MiB (three 2^24-float buffers).  Unless every job hands
+  // its memory back, the fifth one on the single slot runs out.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("reclaim");
+  cfg.pool.gtx_slots = 1;
+  Server server(cfg);
+  server.start();
+  Client client(cfg.socket_path);
+
+  for (int i = 0; i < 5; ++i) {
+    JobRequest req = saxpy_job(std::int64_t{1} << 24, 200 + i);
+    req.no_cache = true;
+    req.config.functional = false;
+    // 2^24 threads in at most 65535 blocks per grid dimension.
+    req.config.block_x = 512;
+    req.config.grid_x = 1u << 15;
+    const Response r = client.call(req);
+    EXPECT_TRUE(r.ok()) << "job " << i << ": " << r.error;
+  }
+  // Reclaiming memory after a successful job is not a fault reset.
+  EXPECT_EQ(server.scheduler_stats().device_resets, 0u);
+  EXPECT_EQ(server.scheduler_stats().jobs_ok, 5u);
+  server.shutdown();
+}
+
 TEST(ServeServer, PerSessionAdmissionControl) {
   ServerConfig cfg;
   cfg.socket_path = test_socket("admit");

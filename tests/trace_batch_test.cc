@@ -1,31 +1,27 @@
-// Bit-identity contract of the batched recorder path (cudalite/trace_arena.h).
+// Block-level A/B contract of the trace recorder (cudalite/trace_arena.h).
 //
-// The trace arena turns per-lane AoS recording into warp-batched SoA rows,
-// falling back to exact per-lane reconstruction whenever a warp's lanes stop
-// matching positionally.  Its contract is that NOTHING downstream can tell:
-// kernel outputs, the full TraceSummary (every warp counter and per-site
-// attribution row), the modeled timing, every derived g80prof counter, and
-// every g80scope bucket series must be bit-identical to the legacy per-lane
-// path.  Each test here runs the same launch twice — ScopedTraceBatch(false)
-// then ScopedTraceBatch(true) — and diffs all of it, across convergent,
-// divergent, partially-converged, multi-space, sanitizer-observed, and
-// block-parallel launches.  The G80_TRACE_BATCH env escape hatch is covered
-// last (the ambient flag re-reads the environment on every launch, so tests
-// can flip it in-process).
+// The arena records each warp-level memory instruction as an SoA row while
+// the lanes run, falling back to exact per-lane reconstruction whenever a
+// warp's lanes stop matching positionally.  Its contract is that nothing
+// downstream can tell which path a stream took.  Each test here records
+// every block of a launch twice through block_trace_oracle.h's BlockTracer:
+//   A  as launch()'s trace pass does, with one arena reused block to block;
+//   B  with every stream forced onto the divergence fallback, so every
+//      access is regrouped by (site, occurrence-at-site);
+// and requires identical per-warp traces and per-site attribution, across
+// convergent, divergent, partially-converged, multi-space, barrier-heavy and
+// the tiled Section 4 matmul kernels.  Launch-level tests then check that
+// launch() — sequential and on worker pools — reports the summary of the B
+// traces of its sampled blocks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "apps/matmul/matmul.h"
+#include "block_trace_oracle.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
-#include "cudalite/trace_arena.h"
 #include "exec/worker_pool.h"
-#include "prof/counters.h"
-#include "prof/profiler.h"
-#include "scope/session.h"
 
 namespace g80 {
 namespace {
@@ -55,8 +51,8 @@ struct ConvergedMultiSpaceKernel {
 };
 
 // Lane-dependent trip count: lane i performs (i % 32) + 1 global stores at
-// the same site, so positional matching breaks mid-warp and every stream
-// goes through the dirty-reconstruction path.
+// the same site.  Each lane's sequence is a prefix of the next lane's, so
+// the warp's rows stay clean while their active masks shrink row by row.
 struct DivergentTripCountKernel {
   template <class Ctx>
   void operator()(Ctx& ctx, DeviceBuffer<float>& out) const {
@@ -105,9 +101,8 @@ struct ScatteredStoreKernel {
   }
 };
 
-// Barrier-heavy kernel for the sanitizer-observed regime: the sanitize pass
-// attaches a BarrierObserver, and with g80check enabled the trace pass's
-// recording must still be invisible.
+// Barrier-heavy tree reduction: lanes drop out of the shared-memory
+// instructions stride by stride, between barriers.
 struct StagedReduceKernel {
   template <class Ctx>
   void operator()(Ctx& ctx, DeviceBuffer<float>& in, DeviceBuffer<float>& out) const {
@@ -128,269 +123,178 @@ struct StagedReduceKernel {
 
 // ---- A/B harness ------------------------------------------------------------
 
-// Everything observable downstream of one launch.
-struct Observed {
-  std::vector<float> out;
-  LaunchStats stats;
-  prof::KernelCounters counters;
-  std::vector<scope::SmSeries> sms;  // empty unless a scope session attached
-};
+enum class Streams { kClean, kSomeDirty };
 
-void expect_identical(const Observed& legacy, const Observed& batched) {
-  // Functional outputs byte-for-byte.
-  ASSERT_EQ(legacy.out.size(), batched.out.size());
-  EXPECT_EQ(std::memcmp(legacy.out.data(), batched.out.data(),
-                        legacy.out.size() * sizeof(float)),
-            0);
-  // The full trace summary: warp counters, instruction mix, DRAM traffic,
-  // cache behaviour, and the per-site attribution table.
-  EXPECT_TRUE(legacy.stats.trace == batched.stats.trace);
-  // Modeled timing.
-  EXPECT_EQ(legacy.stats.timing.seconds, batched.stats.timing.seconds);
-  EXPECT_EQ(legacy.stats.timing.kernel_cycles, batched.stats.timing.kernel_cycles);
-  EXPECT_EQ(legacy.stats.timing.bottleneck, batched.stats.timing.bottleneck);
-  // Every derived profiler counter.
-  EXPECT_TRUE(legacy.counters == batched.counters);
-  // Sanitizer accounting (observed launches).
-  EXPECT_EQ(legacy.stats.sanitizer.findings.size(),
-            batched.stats.sanitizer.findings.size());
-  EXPECT_EQ(legacy.stats.sanitizer.blocks_checked,
-            batched.stats.sanitizer.blocks_checked);
-  // Scope bucket series, per SM, element-exact.
-  ASSERT_EQ(legacy.sms.size(), batched.sms.size());
-  for (std::size_t s = 0; s < legacy.sms.size(); ++s) {
-    EXPECT_EQ(legacy.sms[s].issue_cycles, batched.sms[s].issue_cycles);
-    EXPECT_EQ(legacy.sms[s].serialization_cycles,
-              batched.sms[s].serialization_cycles);
-    EXPECT_EQ(legacy.sms[s].uncoalesced_cycles, batched.sms[s].uncoalesced_cycles);
-    EXPECT_EQ(legacy.sms[s].mem_stall_cycles, batched.sms[s].mem_stall_cycles);
-    EXPECT_EQ(legacy.sms[s].barrier_cycles, batched.sms[s].barrier_cycles);
-    EXPECT_EQ(legacy.sms[s].instructions, batched.sms[s].instructions);
-    EXPECT_EQ(legacy.sms[s].dram_bytes, batched.sms[s].dram_bytes);
+// Records every block of `grid` through the clean (A) and all-dirty (B)
+// tracers and compares them block by block.  `expect` states whether A's
+// recording is all clean rows or reaches the fallback somewhere, so the
+// comparison is known to cover the path it claims to.  Returns the B
+// traces, indexed by linear block id.
+template <class Kernel, class... Args>
+std::vector<BlockTrace> expect_blocks_match_oracle(
+    const DeviceSpec& spec, Dim3 grid, Dim3 block, bool uses_sync,
+    Streams expect, const Kernel& kernel, Args&... args) {
+  BlockTracer clean(spec, grid, block, uses_sync, /*all_dirty=*/false);
+  BlockTracer dirty(spec, grid, block, uses_sync, /*all_dirty=*/true);
+  std::vector<BlockTrace> oracle;
+  bool any_dirty = false;
+  for (std::uint64_t b = 0; b < grid.count(); ++b) {
+    const BlockTrace a = clean.record(b, kernel, args...);
+    any_dirty = any_dirty || clean.any_dirty();
+    oracle.push_back(dirty.record(b, kernel, args...));
+    const BlockTrace& o = oracle.back();
+    EXPECT_FALSE(o.warps.empty()) << "block " << b;
+    EXPECT_TRUE(a.warps == o.warps) << "block " << b;
+    EXPECT_TRUE(a.sites == o.sites) << "block " << b;
   }
+  EXPECT_EQ(any_dirty, expect == Streams::kSomeDirty);
+  return oracle;
 }
 
-// Runs `one_launch` twice — legacy then batched recorder — and diffs.
-template <class Fn>
-void run_ab(Fn&& one_launch) {
-  Observed legacy, batched;
-  {
-    ScopedTraceBatch off(false);
-    legacy = one_launch();
-  }
-  {
-    ScopedTraceBatch on(true);
-    batched = one_launch();
-  }
-  expect_identical(legacy, batched);
+// A launch sampling the whole grid must summarize exactly the oracle traces.
+template <class Kernel, class... Args>
+void expect_launch_matches(Device& dev, Dim3 grid, Dim3 block,
+                           LaunchOptions opt,
+                           const std::vector<BlockTrace>& oracle,
+                           const Kernel& kernel, Args&... args) {
+  opt.sample_blocks = static_cast<int>(grid.count());
+  const LaunchStats stats = launch(dev, grid, block, opt, kernel, args...);
+  EXPECT_TRUE(stats.trace == TraceSummary::summarize(oracle));
 }
 
 // ---- Tests ------------------------------------------------------------------
 
-TEST(TraceBatch, ConvergedMultiSpaceKernelIsInvisible) {
-  run_ab([] {
-    Device dev;
-    const int n = 256;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    auto c = dev.alloc_constant<float>(16);
-    auto t = dev.alloc_texture<float>(64);
-    std::vector<float> host(n);
-    for (int i = 0; i < n; ++i) host[i] = 0.5f * static_cast<float>(i);
-    in.copy_from_host(host);
-    std::vector<float> chost(16, 3.0f), thost(64, 0.25f);
-    c.copy_from_host(chost);
-    t.copy_from_host(thost);
-
-    prof::Profiler p;
-    LaunchOptions opt;
-    opt.prof.sink = &p;
-    opt.prof.kernel_name = "multi_space";
-    Observed o;
-    o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt,
-                     ConvergedMultiSpaceKernel{}, in, c, t, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
+TEST(TraceBatch, ConvergedMultiSpaceKernelMatchesOracle) {
+  Device dev;
+  const int n = 256;
+  auto in = dev.alloc<float>(n);
+  auto out = dev.alloc<float>(n);
+  auto c = dev.alloc_constant<float>(16);
+  auto t = dev.alloc_texture<float>(64);
+  std::vector<float> host(n);
+  for (int i = 0; i < n; ++i) host[i] = 0.5f * static_cast<float>(i);
+  in.copy_from_host(host);
+  std::vector<float> chost(16, 3.0f), thost(64, 0.25f);
+  c.copy_from_host(chost);
+  t.copy_from_host(thost);
+  const ConvergedMultiSpaceKernel k;
+  const auto oracle = expect_blocks_match_oracle(
+      dev.spec(), Dim3(n / 64), Dim3(64), true, Streams::kClean, k, in, c, t,
+      out);
+  expect_launch_matches(dev, Dim3(n / 64), Dim3(64), LaunchOptions{}, oracle,
+                        k, in, c, t, out);
 }
 
-TEST(TraceBatch, DivergentTripCountsFallBackExactly) {
-  run_ab([] {
-    Device dev;
-    const int n = 128;
-    auto out = dev.alloc<float>(n);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(64), opt, DivergentTripCountKernel{}, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
+TEST(TraceBatch, DivergentTripCountsMatchOracle) {
+  Device dev;
+  auto out = dev.alloc<float>(128);
+  const DivergentTripCountKernel k;
+  const auto oracle = expect_blocks_match_oracle(
+      dev.spec(), Dim3(2), Dim3(64), false, Streams::kClean, k, out);
+  LaunchOptions opt;
+  opt.uses_sync = false;
+  expect_launch_matches(dev, Dim3(2), Dim3(64), opt, oracle, k, out);
 }
 
-TEST(TraceBatch, PartiallyConvergedArmsAreInvisible) {
-  run_ab([] {
-    Device dev;
-    const int n = 256;
-    auto a = dev.alloc<float>(n);
-    auto b = dev.alloc<float>(2 * n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> ha(n, 1.5f), hb(2 * n, 2.5f);
-    a.copy_from_host(ha);
-    b.copy_from_host(hb);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(128), opt, HalfWarpArmsKernel{}, a, b, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
+TEST(TraceBatch, PartiallyConvergedArmsMatchOracle) {
+  Device dev;
+  const int n = 256;
+  auto a = dev.alloc<float>(n);
+  auto b = dev.alloc<float>(2 * n);
+  auto out = dev.alloc<float>(n);
+  std::vector<float> ha(n, 1.5f), hb(2 * n, 2.5f);
+  a.copy_from_host(ha);
+  b.copy_from_host(hb);
+  const HalfWarpArmsKernel k;
+  const auto oracle = expect_blocks_match_oracle(
+      dev.spec(), Dim3(2), Dim3(128), false, Streams::kSomeDirty, k, a, b,
+      out);
+  LaunchOptions opt;
+  opt.uses_sync = false;
+  expect_launch_matches(dev, Dim3(2), Dim3(128), opt, oracle, k, a, b, out);
 }
 
-TEST(TraceBatch, ScatteredStoresKeepUncoalescedAccounting) {
-  run_ab([] {
-    Device dev;
-    const int n = 512;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> host(n, 1.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(n / 64), Dim3(64), opt, ScatteredStoreKernel{},
-                     in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
+TEST(TraceBatch, ScatteredStoresMatchOracle) {
+  Device dev;
+  const int n = 512;
+  auto in = dev.alloc<float>(n);
+  auto out = dev.alloc<float>(n);
+  std::vector<float> host(n, 1.0f);
+  in.copy_from_host(host);
+  const ScatteredStoreKernel k;
+  const auto oracle = expect_blocks_match_oracle(
+      dev.spec(), Dim3(n / 64), Dim3(64), false, Streams::kClean, k, in, out);
+  LaunchOptions opt;
+  opt.uses_sync = false;
+  expect_launch_matches(dev, Dim3(n / 64), Dim3(64), opt, oracle, k, in, out);
 }
 
-TEST(TraceBatch, SanitizerObservedLaunchIsInvisible) {
-  run_ab([] {
-    Device dev;
-    const int blocks = 4;
-    auto in = dev.alloc<float>(blocks * 64);
-    auto out = dev.alloc<float>(blocks);
-    std::vector<float> host(blocks * 64, 1.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.sanitize.enabled = true;
-    opt.sanitize.abort_on_error = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(blocks), Dim3(64), opt, StagedReduceKernel{},
-                     in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  });
+TEST(TraceBatch, BarrierReduceMatchesOracle) {
+  // Lanes drop out of the shared-memory instructions stride by stride; each
+  // lane's sequence stays a prefix of lane 0's, so the rows stay clean.
+  Device dev;
+  const int blocks = 4;
+  auto in = dev.alloc<float>(blocks * 64);
+  auto out = dev.alloc<float>(blocks);
+  std::vector<float> host(blocks * 64, 1.0f);
+  in.copy_from_host(host);
+  const StagedReduceKernel k;
+  const auto oracle = expect_blocks_match_oracle(
+      dev.spec(), Dim3(blocks), Dim3(64), true, Streams::kClean, k, in, out);
+  LaunchOptions opt;
+  opt.sanitize.enabled = true;  // an observed launch records the same trace
+  opt.sanitize.abort_on_error = false;
+  expect_launch_matches(dev, Dim3(blocks), Dim3(64), opt, oracle, k, in, out);
 }
 
-TEST(TraceBatch, ScopeSeriesMatchOnTheSectionFourMatmul) {
-  // The §4 matmul with a scope session attached: bucket series are derived
-  // from the trace pass, so they are the most sensitive downstream consumer.
-  run_ab([] {
-    Device dev;
-    const int n = 128, tile = 16;
-    const auto wl = apps::MatmulWorkload::generate(n, 7);
-    auto a = dev.alloc<float>(wl.a.size());
-    auto b = dev.alloc<float>(wl.b.size());
-    auto c = dev.alloc<float>(static_cast<std::size_t>(n) * n);
+struct MatmulFixture {
+  static constexpr int kN = 128, kTile = 16;
+  Device dev;
+  DeviceBuffer<float> a, b, c;
+  apps::MatmulTiledKernel kernel{kN, kTile, /*unrolled=*/true};
+
+  explicit MatmulFixture(std::uint64_t seed)
+      : a(dev.alloc<float>(static_cast<std::size_t>(kN) * kN)),
+        b(dev.alloc<float>(static_cast<std::size_t>(kN) * kN)),
+        c(dev.alloc<float>(static_cast<std::size_t>(kN) * kN)) {
+    const auto wl = apps::MatmulWorkload::generate(kN, seed);
     a.copy_from_host(wl.a);
     b.copy_from_host(wl.b);
-    scope::Session session;
-    prof::Profiler p;
+  }
+  Dim3 grid() const { return Dim3(kN / kTile, kN / kTile); }
+  Dim3 block() const { return Dim3(kTile, kTile); }
+};
+
+TEST(TraceBatch, SectionFourMatmulMatchesOracle) {
+  MatmulFixture f(7);
+  const auto oracle = expect_blocks_match_oracle(
+      f.dev.spec(), f.grid(), f.block(), true, Streams::kClean, f.kernel,
+      f.a, f.b, f.c);
+  LaunchOptions opt;
+  opt.regs_per_thread = 9;
+  expect_launch_matches(f.dev, f.grid(), f.block(), opt, oracle, f.kernel,
+                        f.a, f.b, f.c);
+}
+
+TEST(TraceBatch, BlockParallelPoolsMatchOracle) {
+  // Worker pools give each slot its own arena, reused across the blocks the
+  // slot traces; per-block traces must merge to the oracle summary
+  // whichever slot recorded them.
+  MatmulFixture f(11);
+  const int samples = 16;
+  const TraceSummary oracle =
+      oracle_summary(f.dev.spec(), f.grid(), f.block(), true, samples,
+                     f.kernel, f.a, f.b, f.c);
+  for (int workers : {1, 3}) {
+    WorkerPool pool(workers);
     LaunchOptions opt;
     opt.regs_per_thread = 9;
-    opt.scope.sink = &session;
-    opt.prof.sink = &p;
-    opt.prof.kernel_name = "matmul";
-    Observed o;
-    o.stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
-                     apps::MatmulTiledKernel{n, tile, /*unrolled=*/true}, a, b, c);
-    o.out = c.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    const auto launches = session.launches();
-    o.sms = launches.front().scope.sms;
-    return o;
-  });
-}
-
-TEST(TraceBatch, BlockParallelPoolsAgreeWithSequential) {
-  // Worker pools give each slot its own arena; per-block traces must merge
-  // to the same summary regardless of pool size and recorder path.
-  for (int workers : {1, 3}) {
-    run_ab([workers] {
-      Device dev;
-      const int n = 128, tile = 16;
-      const auto wl = apps::MatmulWorkload::generate(n, 11);
-      auto a = dev.alloc<float>(wl.a.size());
-      auto b = dev.alloc<float>(wl.b.size());
-      auto c = dev.alloc<float>(static_cast<std::size_t>(n) * n);
-      a.copy_from_host(wl.a);
-      b.copy_from_host(wl.b);
-      WorkerPool pool(workers);
-      LaunchOptions opt;
-      opt.regs_per_thread = 9;
-      opt.pool = workers > 1 ? &pool : nullptr;
-      opt.sample_blocks = 16;
-      Observed o;
-      o.stats = launch(dev, Dim3(n / tile, n / tile), Dim3(tile, tile), opt,
-                       apps::MatmulTiledKernel{n, tile, /*unrolled=*/true},
-                       a, b, c);
-      o.out = c.copy_to_host();
-      o.counters = prof::derive_counters(dev.spec(), o.stats);
-      return o;
-    });
+    opt.pool = workers > 1 ? &pool : nullptr;
+    opt.sample_blocks = samples;
+    const LaunchStats stats =
+        launch(f.dev, f.grid(), f.block(), opt, f.kernel, f.a, f.b, f.c);
+    EXPECT_TRUE(stats.trace == oracle) << "workers=" << workers;
   }
-}
-
-TEST(TraceBatch, EnvEscapeHatchControlsTheAmbientDefault) {
-  // G80_TRACE_BATCH is re-read on every launch (never cached), so flipping
-  // it in-process works; the scoped override beats the environment.
-  ASSERT_EQ(ambient_trace_batch(), -1) << "test must start with no override";
-  setenv("G80_TRACE_BATCH", "off", 1);
-  EXPECT_FALSE(trace_batch_enabled());
-  setenv("G80_TRACE_BATCH", "on", 1);
-  EXPECT_TRUE(trace_batch_enabled());
-  setenv("G80_TRACE_BATCH", "0", 1);
-  EXPECT_FALSE(trace_batch_enabled());
-  {
-    ScopedTraceBatch on(true);
-    EXPECT_TRUE(trace_batch_enabled());  // override wins over env
-    {
-      ScopedTraceBatch off(false);
-      EXPECT_FALSE(trace_batch_enabled());
-    }
-    EXPECT_TRUE(trace_batch_enabled());  // nesting restores the outer override
-  }
-  unsetenv("G80_TRACE_BATCH");
-  EXPECT_TRUE(trace_batch_enabled()) << "batching defaults on";
-
-  // A launch under the env kill switch matches a batched launch exactly.
-  auto one = [] {
-    Device dev;
-    const int n = 128;
-    auto in = dev.alloc<float>(n);
-    auto out = dev.alloc<float>(n);
-    std::vector<float> host(n, 2.0f);
-    in.copy_from_host(host);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    Observed o;
-    o.stats = launch(dev, Dim3(2), Dim3(64), opt, ScatteredStoreKernel{}, in, out);
-    o.out = out.copy_to_host();
-    o.counters = prof::derive_counters(dev.spec(), o.stats);
-    return o;
-  };
-  setenv("G80_TRACE_BATCH", "off", 1);
-  const Observed via_env = one();
-  unsetenv("G80_TRACE_BATCH");
-  const Observed batched = one();
-  expect_identical(via_env, batched);
 }
 
 }  // namespace

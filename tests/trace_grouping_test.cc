@@ -7,6 +7,7 @@
 #include "cudalite/ctx.h"
 #include "cudalite/device.h"
 #include "cudalite/launch.h"
+#include "cudalite/trace_arena.h"
 #include "cudalite/trace_collect.h"
 
 namespace g80 {
@@ -117,20 +118,26 @@ TEST(TraceGrouping, BranchArmsAreSeparateInstructions) {
   EXPECT_EQ(s.trace.total.divergent_branches, 1u);
 }
 
-// Direct collector-level check with hand-built lanes.
+// Direct collector-level check with hand-recorded arena streams.
 TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   const auto spec = DeviceSpec::geforce_8800_gtx();
   std::vector<LaneTrace> lanes(32);
-  // All lanes: one access at site 7, perfectly coalesced.
+  TraceArena arena;
+  arena.begin_block(spec, 32);
+  WarpSpaceBatch& global = *arena.stream(0, kSpaceGlobal);
+  // All lanes: one load at site 7, perfectly coalesced.  Lane 3 only: an
+  // extra load at site 9 first, which takes it off the warp's rows.
   for (int k = 0; k < 32; ++k) {
     lanes[k].ops[OpClass::kLoadGlobal] = 1;
-    lanes[k].global.push_back({static_cast<std::uint64_t>(4 * k), 4, 7, true});
+    if (k == 3) {
+      lanes[k].ops[OpClass::kLoadGlobal] = 2;
+      global.record(k, 9, 4, false, 4096);
+    }
+    global.record(k, 7, 4, false, static_cast<std::uint64_t>(4 * k));
   }
-  // Lane 3 only: an extra access at site 9.
-  lanes[3].ops[OpClass::kLoadGlobal] = 2;
-  lanes[3].global.insert(lanes[3].global.begin(), {4096, 4, 9, true});
+  EXPECT_TRUE(global.dirty());
 
-  const auto block = collect_block_trace(spec, lanes);
+  const auto block = collect_block_trace(spec, lanes, arena);
   ASSERT_EQ(block.warps.size(), 1u);
   const auto& w = block.warps[0];
   EXPECT_EQ(w.global_instructions, 2u);
