@@ -48,6 +48,18 @@ void BM_BlockBarrierRound(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockBarrierRound)->Arg(32)->Arg(128)->Arg(512);
 
+// Per-launch set-up as launch() pays it: a fresh runner, so every fiber and
+// its stack is allocated, armed and entered once, around one barrier.
+void BM_BlockRunnerSetup(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    BlockRunner runner(threads, 16 * 1024);
+    runner.run(threads, [&](int tid) { runner.sync(tid); });
+  }
+  state.SetItemsProcessed(state.iterations() * threads);
+}
+BENCHMARK(BM_BlockRunnerSetup)->Arg(64)->Arg(256);
+
 void BM_DirectModeBlock(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   BlockRunner runner(1, 16 * 1024);
@@ -87,6 +99,20 @@ void BM_BankConflictAnalyzer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BankConflictAnalyzer);
+
+// SoA twin of BM_BankConflictAnalyzer over one trace-arena row; the argument
+// is the lane stride in bytes: 64 is the same 16-way conflict (exact path),
+// 4 is conflict-free (the power-of-two fast path).
+void BM_BankConflictAnalyzerSoa(benchmark::State& state) {
+  const std::uint64_t stride = static_cast<std::uint64_t>(state.range(0));
+  std::uint64_t addrs[32];
+  for (int k = 0; k < 32; ++k) addrs[k] = stride * static_cast<std::uint64_t>(k);
+  const SoaWarpAccess row{~0u, 4, addrs, 32};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze_shared_warp_soa(kSpec, row));
+  }
+}
+BENCHMARK(BM_BankConflictAnalyzerSoa)->Arg(64)->Arg(4);
 
 struct StreamKernel {
   template <class Ctx>

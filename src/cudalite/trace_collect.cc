@@ -105,6 +105,18 @@ class SiteAccumulator {
   std::vector<SiteStats> sites_;
 };
 
+// (site, count) pairs for the barrier tally: a kernel has a handful of
+// __syncthreads() sites, so a linear scan over a flat vector is cheaper
+// than hashing every recorded barrier.
+using SiteCounts = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+std::uint64_t& count_at(SiteCounts& counts, std::uint32_t site) {
+  for (auto& [s, n] : counts) {
+    if (s == site) return n;
+  }
+  return counts.emplace_back(site, 0).second;
+}
+
 // ---------------------------------------------------------------------------
 // Per-instruction accumulation, shared verbatim by the clean (SoA row) and
 // dirty (WarpAccess group) paths so the two cannot drift apart.
@@ -227,6 +239,7 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
   block.warps.resize(num_warps);
   SiteAccumulator sites(lanes);
   std::vector<std::vector<MemAccess>> scratch;  // dirty-stream reconstruction
+  SiteCounts warp_syncs, lane_syncs;  // barrier counts, reused across warps
 
   // One texture cache per block approximates the per-SM cache shared by the
   // blocks resident on an SM (they run the same kernel, so per-block
@@ -322,22 +335,17 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
 
     // --- Barriers: warp-level count per call site (max over lanes, the same
     // convention as the per-class instruction counts above). ---
-    {
-      std::unordered_map<std::uint32_t, std::uint64_t> warp_syncs;
-      std::unordered_map<std::uint32_t, std::uint64_t> lane_syncs;
-      for (int k = lo; k < hi; ++k) {
-        lane_syncs.clear();
-        for (const std::uint32_t site : lanes[k].sync_sites) {
-          ++lane_syncs[site];
-        }
-        for (const auto& [site, n] : lane_syncs) {
-          warp_syncs[site] = std::max(warp_syncs[site], n);
-        }
-      }
-      for (const auto& [site, n] : warp_syncs) {
-        sites.at(site).syncs += n;
+    warp_syncs.clear();
+    for (int k = lo; k < hi; ++k) {
+      lane_syncs.clear();
+      for (const std::uint32_t site : lanes[k].sync_sites)
+        ++count_at(lane_syncs, site);
+      for (const auto& [site, n] : lane_syncs) {
+        std::uint64_t& warp_n = count_at(warp_syncs, site);
+        warp_n = std::max(warp_n, n);
       }
     }
+    for (const auto& [site, n] : warp_syncs) sites.at(site).syncs += n;
   }
   block.sites = sites.take();
   merge_site_stats(block.sites, {});  // impose the deterministic ordering

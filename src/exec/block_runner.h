@@ -94,7 +94,10 @@ class BlockRunner {
   // `max_threads` bounds the fiber pool; `smem_capacity` is the SM's shared
   // memory size (a block exceeding it fails at launch, not here).  `backend`
   // picks the fiber switch engine (requests for the fast engine degrade to
-  // ucontext in sanitized builds — see Fiber).
+  // ucontext in sanitized builds — see Fiber).  Fibers are created lazily by
+  // the first run() that needs them, each with an uninitialised
+  // `stack_bytes` stack, and re-armed (not reallocated) by later runs; the
+  // shared arena is zero-filled once here, since kernels can see it.
   BlockRunner(int max_threads, std::size_t smem_capacity,
               std::size_t stack_bytes = 128 * 1024,
               Fiber::Backend backend = Fiber::default_backend());

@@ -131,7 +131,8 @@ Fiber::Backend Fiber::default_backend() {
 }
 
 Fiber::Fiber(std::size_t stack_bytes, Backend backend)
-    : stack_(stack_bytes),
+    : stack_(new char[stack_bytes]),
+      stack_bytes_(stack_bytes),
       backend_(backend == Backend::kFast && fast_backend_supported()
                    ? Backend::kFast
                    : Backend::kUcontext) {
@@ -178,8 +179,8 @@ void Fiber::arm_common() {
 
 void Fiber::arm_ucontext() {
   G80_CHECK(getcontext(&context_) == 0);
-  context_.uc_stack.ss_sp = stack_.data();
-  context_.uc_stack.ss_size = stack_.size();
+  context_.uc_stack.ss_sp = stack_.get();
+  context_.uc_stack.ss_size = stack_bytes_;
   context_.uc_link = &return_context_;
 
   // makecontext only passes ints; split the pointer across two.
@@ -194,7 +195,7 @@ void Fiber::arm_fast() {
   // Build the initial frame g80_ctx_swap will restore; the layout contract
   // lives at the top of fiber_ctx.S.  Arming is just ~64 bytes of stores —
   // no syscall, no allocation — so it is cheap enough to do per block.
-  char* top = stack_.data() + stack_.size();
+  char* top = stack_.get() + stack_bytes_;
   top -= reinterpret_cast<std::uintptr_t>(top) & 15;  // 16-byte align
   auto put = [&](int off, std::uint64_t v) {
     std::memcpy(top - off, &v, sizeof v);
@@ -278,7 +279,7 @@ Fiber::State Fiber::resume() {
   {
     tsan_sched_fiber_ = tsan_current_fiber();
     void* fake_stack_save = nullptr;
-    asan_start_switch(&fake_stack_save, stack_.data(), stack_.size());
+    asan_start_switch(&fake_stack_save, stack_.get(), stack_bytes_);
     tsan_switch_to(tsan_fiber_);
     G80_CHECK(swapcontext(&return_context_, &context_) == 0);
     asan_finish_switch(fake_stack_save, nullptr, nullptr);

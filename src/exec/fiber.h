@@ -21,6 +21,14 @@
 // Both engines are bit-identical in observable behaviour (scheduling order,
 // exception propagation, barrier counts); tests/exec_fastpath_test.cc
 // asserts this directly.
+//
+// Each fiber's stack is allocated uninitialised, not zero-filled: arming
+// (arm_fast's initial frame, or makecontext) writes the top of the stack
+// before first entry, and the body only reads frames it wrote itself.
+// Zero-filling would cost threads x 128 KiB of page writes per barrier
+// kernel launch, since every launch builds a fresh BlockRunner.
+// tests/exec_test.cc (FiberStack.*) re-arms scribbled and fresh stacks on
+// both engines to pin that contract.
 #pragma once
 
 #include <ucontext.h>
@@ -28,7 +36,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <vector>
 
 namespace g80 {
 
@@ -81,7 +88,8 @@ class Fiber {
   void arm_fast();
   void run_body();
 
-  std::vector<char> stack_;
+  std::unique_ptr<char[]> stack_;  // uninitialised; see the file comment
+  std::size_t stack_bytes_;
   Backend backend_;
   ucontext_t context_{};
   ucontext_t return_context_{};

@@ -1,6 +1,7 @@
 #include "mem/bank_conflict.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -59,7 +60,36 @@ WarpBankCost analyze_shared_warp(const DeviceSpec& spec, const WarpAccess& warp)
 
 namespace {
 
-// Serialization degree of one SoA half-warp: distinct words via a small
+// Exact conflict-free test for a power-of-two bank count <= 64: one pass
+// over the active lanes' words keeps the first word seen per bank (bank =
+// word & (banks - 1), no division) and a mask of banks in use.  True when no
+// bank sees two different words, i.e. the degree is 1 (broadcast included);
+// false on the first clash, whose degree the caller computes exactly.
+bool conflict_free_pow2(const std::uint64_t* addr, std::uint32_t half_mask,
+                        std::uint32_t size, int banks) {
+  const std::uint64_t bank_mask = static_cast<std::uint64_t>(banks) - 1;
+  std::uint64_t first[64];
+  std::uint64_t used = 0;
+  for (std::uint32_t m = half_mask; m != 0; m &= m - 1) {
+    const std::uint64_t base = addr[std::countr_zero(m)];
+    for (std::uint32_t off = 0; off < size; off += 4) {
+      const std::uint64_t word = (base + off) / 4;
+      const std::uint64_t b = word & bank_mask;
+      const std::uint64_t bit = std::uint64_t{1} << b;
+      if ((used & bit) == 0) {
+        used |= bit;
+        first[b] = word;
+      } else if (first[b] != word) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Serialization degree of one SoA half-warp.  Conflict-free accesses with a
+// power-of-two bank count (G80's 16) return from conflict_free_pow2; any
+// other access takes the exact path: distinct words via a small
 // insert-unique array (<= 16 lanes x size/4 words in practice), then the
 // worst per-bank degree from a counter table — each distinct word lands in
 // exactly one bank, so counting distinct words per bank equals the legacy
@@ -71,6 +101,10 @@ int half_warp_serialization_soa(const DeviceSpec& spec,
   if (half_mask == 0) return 0;  // nothing issued
   const int banks = spec.shared_mem_banks;
   const std::uint64_t* addr = row.addrs + lo;
+  const bool pow2_banks = banks > 0 && banks <= 64 &&
+                          std::has_single_bit(static_cast<unsigned>(banks));
+  if (pow2_banks && conflict_free_pow2(addr, half_mask, row.size, banks))
+    return 1;
 
   std::uint64_t words[128];
   int nwords = 0;

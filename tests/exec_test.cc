@@ -72,6 +72,103 @@ TEST(Fiber, DeepStackSurvives) {
   EXPECT_EQ(result, 2001.0);
 }
 
+// ---- Uninitialised fiber stacks ----------------------------------------------
+//
+// Fiber stacks are allocated without zero-filling: arming writes the initial
+// frame and a body reads only what it wrote.  These tests leave junk on a
+// stack (and abandon frames mid-kernel), then require a re-armed fiber and a
+// freshly constructed one to behave exactly like a clean one on both engines.
+
+std::vector<Fiber::Backend> backends_under_test() {
+  std::vector<Fiber::Backend> b{Fiber::Backend::kUcontext};
+  if (Fiber::fast_backend_supported()) b.push_back(Fiber::Backend::kFast);
+  return b;
+}
+
+// Runs a body that fills 64 KiB of its stack with a non-zero pattern.
+void scribble_stack(Fiber& f) {
+  f.start([] {
+    volatile unsigned char junk[64 * 1024];
+    for (std::size_t i = 0; i < sizeof junk; ++i) junk[i] = 0xA5;
+  });
+  EXPECT_EQ(f.resume(), Fiber::State::kDone);
+}
+
+// A new body keeps its locals across two yields and then throws: the
+// exception must reach the scheduler and the fiber must end kDone.
+void expect_clean_run(Fiber& f) {
+  std::vector<int> log;
+  f.start([&] {
+    int local[256];
+    for (int i = 0; i < 256; ++i) local[i] = i;
+    log.push_back(1);
+    f.yield();
+    log.push_back(std::accumulate(local, local + 256, 0));
+    f.yield();
+    throw Error("after the barrier");
+  });
+  EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
+  EXPECT_EQ(f.resume(), Fiber::State::kSuspended);
+  EXPECT_THROW(f.resume(), Error);
+  EXPECT_EQ(f.state(), Fiber::State::kDone);
+  EXPECT_EQ(log, (std::vector<int>{1, 255 * 256 / 2}));
+}
+
+TEST(FiberStack, RearmedScribbledAndFreshFibersRunAlike) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(backend == Fiber::Backend::kFast ? "fast" : "ucontext");
+    Fiber reused(128 * 1024, backend);
+    scribble_stack(reused);
+    expect_clean_run(reused);
+    // Re-arm after the throw too: the dead frames are junk as well.
+    expect_clean_run(reused);
+
+    Fiber fresh(128 * 1024, backend);
+    expect_clean_run(fresh);
+    scribble_stack(fresh);
+    expect_clean_run(fresh);
+  }
+}
+
+TEST(FiberStack, BlockRunnerReusesScribbledStacks) {
+  for (Fiber::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(backend == Fiber::Backend::kFast ? "fast" : "ucontext");
+    constexpr int kThreads = 48;  // one converged warp, one partial
+    // Each lane scribbles its stack across a barrier, then a lane throws
+    // mid-kernel, leaving its siblings parked on junk frames.
+    BlockRunner runner(kThreads, 16 * 1024, 128 * 1024, backend);
+    runner.run(kThreads, [&](int tid) {
+      volatile unsigned char junk[32 * 1024];
+      for (std::size_t i = 0; i < sizeof junk; ++i)
+        junk[i] = static_cast<unsigned char>(tid + i);
+      runner.sync(tid);
+    });
+    EXPECT_THROW(runner.run(kThreads,
+                            [&](int tid) {
+                              runner.sync(tid);
+                              if (tid == 40) throw Error("lane 40");
+                              runner.sync(tid);
+                            }),
+                 Error);
+
+    BlockRunner fresh(kThreads, 16 * 1024, 128 * 1024, backend);
+    for (BlockRunner* r : {&runner, &fresh}) {
+      std::vector<int> slot(kThreads, -1), seen(kThreads, -1);
+      r->run(kThreads, [&](int tid) {
+        slot[tid] = tid * 10;
+        r->sync(tid);
+        seen[tid] = slot[(tid + 1) % kThreads];
+      });
+      for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], ((t + 1) % kThreads) * 10) << "tid " << t;
+      EXPECT_EQ(r->barriers_executed(), 1);
+      EXPECT_THROW(
+          r->run(kThreads, [&](int tid) { if (tid == 7) throw Error("7"); }),
+          Error);
+    }
+  }
+}
+
 // ---- SharedArena ------------------------------------------------------------
 
 TEST(SharedArena, SameLayoutForAllThreads) {

@@ -104,6 +104,64 @@ TEST(BankConflict, Float2SpansTwoBanks) {
   EXPECT_EQ(analyze_shared_half_warp(kSpec, w.data(), 16).serialization, 2);
 }
 
+// The SoA analyzer (conflict-free fast path for power-of-two bank counts
+// <= 64, counter table otherwise, per-bank sets beyond 64 banks) must agree
+// with the AoS reference on every row.  Address shapes: stride-1, broadcast,
+// clustered words (forcing clashes), random strides and random words.
+TEST(BankConflict, SoaMatchesReferenceOnRandomRows) {
+  SplitMix64 rng(0x5eedba4c);
+  for (const int banks : {16, 12, 128}) {
+    SCOPED_TRACE(::testing::Message() << banks << " banks");
+    DeviceSpec spec = kSpec;
+    spec.shared_mem_banks = banks;
+    int conflict_free = 0, conflicted = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+      const std::uint32_t size = 4u << rng.next_below(3);  // 4, 8, 16
+      const int lanes = rng.next_below(4) == 0
+                            ? 1 + static_cast<int>(rng.next_below(32))
+                            : 32;
+      std::uint32_t mask = 0;
+      switch (rng.next_below(4)) {
+        case 0: mask = ~0u; break;
+        case 1: mask = 0xFFFFu << (16 * rng.next_below(2)); break;
+        default: mask = static_cast<std::uint32_t>(rng.next_u64()); break;
+      }
+      if (lanes < 32) mask &= (1u << lanes) - 1u;
+
+      const std::uint64_t base = 4 * rng.next_below(1 << 12);
+      const int shape = static_cast<int>(rng.next_below(5));
+      const std::uint64_t stride = 4 * (1 + rng.next_below(33));
+      const std::uint64_t cluster = 1 + rng.next_below(3 * banks);
+      std::uint64_t addrs[32];
+      WarpAccess ref(static_cast<std::size_t>(lanes));
+      for (int k = 0; k < lanes; ++k) {
+        const std::uint64_t kk = static_cast<std::uint64_t>(k);
+        switch (shape) {
+          case 0: addrs[k] = base + kk * size; break;  // stride-1
+          case 1: addrs[k] = base; break;              // broadcast
+          case 2: addrs[k] = base + 4 * rng.next_below(cluster); break;
+          case 3: addrs[k] = base + kk * stride; break;
+          default: addrs[k] = 4 * rng.next_below(1 << 16); break;
+        }
+        const bool active = (mask >> k & 1u) != 0;
+        // Inactive lanes keep their address: the SoA path must ignore it.
+        ref[static_cast<std::size_t>(k)] = {addrs[k], size, 0, active};
+      }
+      const WarpBankCost want = analyze_shared_warp(spec, ref);
+      const WarpBankCost got =
+          analyze_shared_warp_soa(spec, SoaWarpAccess{mask, size, addrs, lanes});
+      ASSERT_EQ(got.passes, want.passes)
+          << "iter " << iter << " shape " << shape << " size " << size;
+      ASSERT_EQ(got.extra_passes, want.extra_passes)
+          << "iter " << iter << " shape " << shape << " size " << size;
+      if (want.passes > 0) ++(want.extra_passes == 0 ? conflict_free : conflicted);
+    }
+    // Both the conflict-free exit and the clash fall-through were exercised.
+    EXPECT_GT(conflict_free, 200);
+    EXPECT_GT(conflicted, 200);
+  }
+}
+
 // ---- Constant cache -----------------------------------------------------------
 
 TEST(ConstCache, UniformAddressBroadcasts) {
