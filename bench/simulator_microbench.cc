@@ -12,6 +12,7 @@
 #include "cudalite/launch.h"
 #include "cudalite/recorder.h"
 #include "cudalite/trace_arena.h"
+#include "cudalite/trace_collect.h"
 #include "exec/block_runner.h"
 #include "mem/bank_conflict.h"
 #include "mem/coalescing.h"
@@ -167,6 +168,62 @@ void BM_RecorderManySites(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAccesses);
 }
 BENCHMARK(BM_RecorderManySites)->Arg(4)->Arg(64)->Arg(512);
+
+// Data-dependent trip counts and branch arms with their own load sites:
+// lanes of a warp fall out of positional step, so their streams go dirty.
+struct DivergentArmsKernel {
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& a,
+                  DeviceBuffer<float>& b) const {
+    auto A = ctx.global(a);
+    auto B = ctx.global(b);
+    const int i = ctx.global_thread_x();
+    float v = 0;
+    for (int k = 0; ctx.branch(k <= i % 7); ++k) {
+      if (ctx.branch((i + k) % 3 == 0)) {
+        v = ctx.add(v, A.ld(static_cast<std::size_t>(i + 5 * k) % a.size()));
+      } else {
+        v = ctx.mul(v, B.ld(static_cast<std::size_t>(i)));
+      }
+    }
+    B.st(static_cast<std::size_t>(i), v);
+  }
+};
+
+// collect_block_trace alone, over one recorded 256-thread block: the
+// converged StreamKernel (clean arena rows) or DivergentArmsKernel (dirty
+// streams, regrouped by (site, occurrence)).
+template <class Kernel>
+void BM_CollectBlockTrace(benchmark::State& state, Kernel kernel,
+                          bool want_dirty) {
+  constexpr int kThreads = 256;
+  Device dev;
+  auto a = dev.alloc<float>(kThreads);
+  auto b = dev.alloc<float>(kThreads);
+  std::vector<LaneTrace> lanes(kThreads);
+  TraceArena arena;
+  arena.begin_block(kSpec, kThreads);
+  BlockRunner runner(1, kSpec.shared_mem_per_sm);
+  BlockEnv env{&runner, Dim3(1), Dim3(kThreads), Dim3(0)};
+  runner.run_direct(kThreads, [&](int tid) {
+    TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], &arena, tid));
+    kernel(ctx, a, b);
+  });
+  bool dirty = false;
+  for (int w = 0; w < arena.num_warps(); ++w)
+    for (int s = 0; s < kNumTraceSpaces; ++s)
+      dirty = dirty || arena.stream(w, s)->dirty();
+  if (dirty != want_dirty) {
+    state.SkipWithError("the recorded block did not take the intended path");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(collect_block_trace(kSpec, lanes, arena));
+  }
+  state.SetItemsProcessed(state.iterations() * kThreads);
+}
+BENCHMARK_CAPTURE(BM_CollectBlockTrace, clean, StreamKernel{}, false);
+BENCHMARK_CAPTURE(BM_CollectBlockTrace, dirty, DivergentArmsKernel{}, true);
 
 void BM_TracedLaunch(benchmark::State& state) {
   Device dev;

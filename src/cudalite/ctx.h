@@ -20,6 +20,12 @@
 // performs on PTX dumps to estimate potential throughput (§4.1).  Loop/index
 // overhead that real code would spend in integer instructions is annotated
 // with ctx.ialu()/ctx.misc() at the points where nvcc would emit it.
+//
+// Every view op (global ld/st, shared ld/st, constant ld, texture fetch)
+// bounds-checks its index in every pass and raises kInvalidAddress on a
+// miss.  The compare stays inline; the throw sits in one cold, out-of-line
+// helper, so the accessors inline into the kernel body and the functional
+// pass pays a compare and a never-taken branch per access.
 #pragma once
 
 #include <cmath>
@@ -53,6 +59,21 @@ inline std::uint32_t site_id(const std::source_location& loc) {
       (file >> 4) * 2654435761u ^ (loc.line() << 10) ^ loc.column());
 }
 
+namespace detail {
+
+// The throw of every view op's bounds check, kept out of line: with the
+// ostringstream of G80_RAISE_IF inline, the accessors were too large to
+// inline and each access paid a call with a 0x1a8-byte frame.  Operands go
+// by value.  The message is
+// "invalid device address: <what> out of bounds: <i> >= <n>".
+[[noreturn, gnu::cold, gnu::noinline]] inline void raise_out_of_bounds(
+    const char* what, std::size_t i, std::size_t n) {
+  G80_RAISE_IF(true, Status::kInvalidAddress,
+               what << " out of bounds: " << i << " >= " << n);
+}
+
+}  // namespace detail
+
 // ---- Typed views over the memory spaces -----------------------------------
 
 template <class Recorder, class T>
@@ -63,8 +84,8 @@ class GlobalView {
 
   T ld(std::size_t i,
        const std::source_location& loc = std::source_location::current()) const {
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "global load out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("global load", i, n_);
     ctx_->rec().mem(OpClass::kLoadGlobal, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     return data_[i];
@@ -77,8 +98,8 @@ class GlobalView {
     if constexpr (Recorder::kSanitizing) {
       i = ctx_->rec().fault_global_index(i, n_);
     }
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "global store out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("global store", i, n_);
     ctx_->rec().mem(OpClass::kStoreGlobal, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     data_[i] = v;
@@ -100,8 +121,8 @@ class SharedView {
 
   T ld(std::size_t i,
        const std::source_location& loc = std::source_location::current()) const {
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "shared load out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("shared load", i, n_);
     ctx_->rec().mem(OpClass::kLoadShared, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     return data_[i];
@@ -113,8 +134,8 @@ class SharedView {
     if constexpr (Recorder::kSanitizing) {
       i = ctx_->rec().fault_shared_index(i, n_);
     }
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "shared store out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("shared store", i, n_);
     ctx_->rec().mem(OpClass::kStoreShared, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     data_[i] = v;
@@ -136,8 +157,8 @@ class ConstView {
 
   T ld(std::size_t i,
        const std::source_location& loc = std::source_location::current()) const {
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "constant load out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("constant load", i, n_);
     ctx_->rec().mem(OpClass::kLoadConst, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     return data_[i];
@@ -159,8 +180,8 @@ class TexView {
 
   T fetch(std::size_t i,
           const std::source_location& loc = std::source_location::current()) const {
-    G80_RAISE_IF(i >= n_, Status::kInvalidAddress,
-                 "texture fetch out of bounds: " << i << " >= " << n_);
+    if (i >= n_) [[unlikely]]
+      detail::raise_out_of_bounds("texture fetch", i, n_);
     ctx_->rec().mem(OpClass::kLoadTexture, base_ + i * sizeof(T), sizeof(T),
                     site_id(loc), loc);
     return data_[i];

@@ -7,7 +7,9 @@
 //    Per-lane counts, branches and barriers go to the thread's LaneTrace;
 //    memory accesses stream into the block's TraceArena, one per-(warp,
 //    space) SoA batch each, and note_site is a last-site memo plus the
-//    arena's O(1) block-level intern table (trace_arena.h).
+//    arena's O(1) block-level intern table (trace_arena.h).  An access
+//    that joins a row another lane of its warp opened skips note_site
+//    altogether: that lane has already interned the site.
 #pragma once
 
 #include <cstdint>
@@ -58,11 +60,13 @@ class LaneRecorder {
   void mem(OpClass c, std::uint64_t addr, std::uint32_t size,
            std::uint32_t site, const std::source_location& loc) {
     count(c);
-    note_site(site, loc);
     const bool store =
         c == OpClass::kStoreGlobal || c == OpClass::kStoreShared;
     const int space = trace_space_of(c);
-    if (space >= 0) streams_[space]->record(sub_, site, size, store, addr);
+    // An access that joins an existing row follows the lane of its warp
+    // that opened the row, which has already interned the site.
+    if (space < 0 || streams_[space]->record(sub_, site, size, store, addr))
+      note_site(site, loc);
   }
 
   void branch_outcome(bool taken, std::uint32_t site) {

@@ -42,25 +42,6 @@ bool SiteInterner::insert(std::uint32_t site) {
 }
 
 // ---------------------------------------------------------------------------
-// WarpSpaceBatch
-// ---------------------------------------------------------------------------
-
-void WarpSpaceBatch::reconstruct_lane(int sub,
-                                      std::vector<MemAccess>* out) const {
-  out->clear();
-  const std::uint32_t prefix = cursor[static_cast<std::size_t>(sub)];
-  out->reserve(prefix + overflow[static_cast<std::size_t>(sub)].size());
-  for (std::uint32_t j = 0; j < prefix; ++j) {
-    const std::uint64_t key = keys[j];
-    out->push_back({addrs[j * static_cast<std::size_t>(stride) + sub],
-                    trace_key_size(key), trace_key_site(key), true,
-                    trace_key_store(key)});
-  }
-  const auto& tail = overflow[static_cast<std::size_t>(sub)];
-  out->insert(out->end(), tail.begin(), tail.end());
-}
-
-// ---------------------------------------------------------------------------
 // TraceArena
 // ---------------------------------------------------------------------------
 

@@ -18,9 +18,12 @@
 //   - A lane whose j-th access does NOT match row j has diverged from the
 //     warp's common instruction stream.  It permanently falls back to a
 //     per-lane overflow vector and the stream is marked dirty; the collector
-//     then reconstructs the exact per-lane sequences (prefix rows + overflow)
-//     and groups them by (site, occurrence-at-site), so divergent warps get
-//     the same warp-level instructions through the slow path.
+//     then walks the exact per-lane sequences (prefix rows + overflow) and
+//     regroups them by (site, occurrence-at-site) into SoA rows of the same
+//     layout (trace_collect.h), so divergent warps get the same warp-level
+//     instructions and the same analyzers.
+//   - record() reports whether an access joined an existing row; the
+//     recorder interns a site only for accesses that did not.
 //
 // Why positional matching is exact for clean streams: every lane's matched
 // rows form a prefix [0, cursor), so row j groups exactly the lanes whose
@@ -143,13 +146,16 @@ struct WarpSpaceBatch {
     }
   }
 
-  // The recorder hot path: positional prefix matching.
-  void record(int sub, std::uint32_t site, std::uint32_t size, bool store,
+  // The recorder hot path: positional prefix matching.  Returns false when
+  // the access joined an existing row: an earlier lane of this warp opened
+  // that row with the same key, so it already met this site.  True when the
+  // access opened a row or went to overflow.
+  bool record(int sub, std::uint32_t site, std::uint32_t size, bool store,
               std::uint64_t addr) {
     const std::uint32_t bit = 1u << sub;
     if (diverged & bit) {
       overflow[sub].push_back({addr, size, site, true, store});
-      return;
+      return true;
     }
     const std::uint64_t key = pack_trace_key(site, size, store);
     std::uint32_t& cur = cursor[sub];
@@ -158,13 +164,13 @@ struct WarpSpaceBatch {
         masks[cur] |= bit;
         addrs[cur * static_cast<std::size_t>(stride) + sub] = addr;
         ++cur;
-        return;
+        return false;
       }
       // This lane left the warp's common stream: record it (and everything
       // it does from now on in this space) per-lane; the collector regroups.
       diverged |= bit;
       overflow[sub].push_back({addr, size, site, true, store});
-      return;
+      return true;
     }
     // cur == rows(): this lane extends the stream with a new row.
     keys.push_back(key);
@@ -172,11 +178,8 @@ struct WarpSpaceBatch {
     addrs.resize(addrs.size() + static_cast<std::size_t>(stride));
     addrs[cur * static_cast<std::size_t>(stride) + sub] = addr;
     ++cur;
+    return true;
   }
-
-  // Exact per-lane access sequence (for dirty-stream regrouping): the matched
-  // prefix rows, then the overflow tail.
-  void reconstruct_lane(int sub, std::vector<MemAccess>* out) const;
 };
 
 // Warp sizes the arena can record: even (compute-1.x half-warp rules) and no

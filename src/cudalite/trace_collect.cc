@@ -1,7 +1,6 @@
 #include "cudalite/trace_collect.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -15,41 +14,138 @@ namespace g80 {
 
 namespace {
 
-// Key of one warp-level dynamic instruction: the static call site plus the
-// per-lane occurrence index at that site.
-struct InstKey {
-  std::uint32_t site = 0;
-  std::uint32_t occurrence = 0;
-  bool operator==(const InstKey&) const = default;
-};
-
-struct InstKeyHash {
-  std::size_t operator()(const InstKey& k) const {
-    return (static_cast<std::size_t>(k.site) << 20) ^ k.occurrence;
+// Groups per-lane event sequences into warp-level dynamic instructions keyed
+// by (static site, per-lane occurrence at that site), numbering the groups
+// as rows in first-appearance order (lane by lane, each lane in program
+// order).  A stream touches a handful of sites, so sites map to dense
+// indices by a linear scan behind a last-hit memo, and each site keeps its
+// occurrence -> row vector.  All capacity is reused across streams and
+// warps of a block.
+class OccurrenceRows {
+ public:
+  void clear() {
+    used_ = 0;
+    last_ = 0;
+    rows_ = 0;
   }
+  // The next lane's occurrence counts start again from zero.
+  void begin_lane() {
+    for (std::size_t d = 0; d < used_; ++d) sites_[d].next = 0;
+  }
+  // Row of the current lane's next event at `site`; `opened` is set when the
+  // event is the first of its group, which takes the next row index.
+  std::uint32_t row(std::uint32_t site, bool& opened) {
+    Site& s = find(site);
+    const std::uint32_t occurrence = s.next++;
+    opened = occurrence == s.rows.size();
+    if (!opened) return s.rows[occurrence];
+    s.rows.push_back(rows_);
+    return rows_++;
+  }
+
+ private:
+  struct Site {
+    std::uint32_t site = 0;
+    std::uint32_t next = 0;           // this lane's next occurrence index
+    std::vector<std::uint32_t> rows;  // occurrence -> row
+  };
+
+  Site& find(std::uint32_t site) {
+    if (last_ < used_ && sites_[last_].site == site) return sites_[last_];
+    for (std::size_t d = 0; d < used_; ++d) {
+      if (sites_[d].site == site) {
+        last_ = d;
+        return sites_[d];
+      }
+    }
+    if (used_ == sites_.size()) sites_.emplace_back();
+    Site& s = sites_[used_];
+    s.site = site;
+    s.next = 0;
+    s.rows.clear();
+    last_ = used_++;
+    return s;
+  }
+
+  std::vector<Site> sites_;
+  std::size_t used_ = 0;
+  std::size_t last_ = 0;
+  std::uint32_t rows_ = 0;
 };
 
-// Reconstructs the warp-level instructions of one address space from
-// arbitrary per-lane access sequences (lane k's sequence is `get(k)`):
-// groups by (site, occurrence) and returns them in first-appearance order.
-// This is the exact semantics the arena's positional rows reproduce for
-// clean streams; dirty streams come through here.
-template <class GetSeq>
-std::vector<WarpAccess> group_warp_instructions(int lane_count, GetSeq&& get,
-                                                int warp_size) {
-  std::unordered_map<InstKey, std::size_t, InstKeyHash> index;
-  std::vector<WarpAccess> groups;
-  std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
+// Calls `f(key, addr)` for every access of lane `sub` of a batch stream, in
+// the lane's program order: its matched prefix rows, then its overflow tail.
+template <class F>
+void for_each_lane_access(const WarpSpaceBatch& s, int sub, F&& f) {
+  const std::size_t stride = static_cast<std::size_t>(s.stride);
+  const std::uint32_t prefix = s.cursor[static_cast<std::size_t>(sub)];
+  for (std::uint32_t j = 0; j < prefix; ++j)
+    f(s.keys[j], s.addrs[j * stride + static_cast<std::size_t>(sub)]);
+  for (const MemAccess& a : s.overflow[static_cast<std::size_t>(sub)])
+    f(pack_trace_key(a.site, a.size, a.store), a.addr);
+}
 
+// Reusable SoA columns a dirty stream is regrouped into: the same layout as
+// a clean WarpSpaceBatch, so its rows feed the same *_soa analyzers.
+struct RegroupedRows {
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> masks;
+  std::vector<std::uint64_t> addrs;  // `stride` slots per row
+  int stride = 0;
+  OccurrenceRows occurrences;
+};
+
+// Regroups a dirty (positionally-diverged) stream's exact per-lane
+// sequences into `out` by (site, occurrence).  Returns false when some
+// group would mix two static keys — one site issued at two widths or in
+// both directions — which one SoA row cannot express; the caller then scores
+// the stream through regroup_mixed_stream and the AoS analyzers.
+bool regroup_dirty_stream(const WarpSpaceBatch& s, int lane_count,
+                          RegroupedRows& out) {
+  const std::size_t stride = static_cast<std::size_t>(s.stride);
+  out.keys.clear();
+  out.masks.clear();
+  out.addrs.clear();
+  out.stride = s.stride;
+  out.occurrences.clear();
+  bool uniform = true;
+  for (int k = 0; k < lane_count && uniform; ++k) {
+    out.occurrences.begin_lane();
+    const std::uint32_t bit = 1u << k;
+    for_each_lane_access(s, k, [&](std::uint64_t key, std::uint64_t addr) {
+      bool opened = false;
+      const std::uint32_t r = out.occurrences.row(trace_key_site(key), opened);
+      if (opened) {
+        out.keys.push_back(key);
+        out.masks.push_back(bit);
+        out.addrs.resize(out.addrs.size() + stride);
+      } else {
+        uniform = uniform && out.keys[r] == key;
+        out.masks[r] |= bit;
+      }
+      out.addrs[r * stride + static_cast<std::size_t>(k)] = addr;
+    });
+  }
+  return uniform;
+}
+
+// The same grouping as regroup_dirty_stream, materialized as one AoS
+// WarpAccess per warp-level instruction, for streams whose groups mix keys.
+std::vector<WarpAccess> regroup_mixed_stream(const WarpSpaceBatch& s,
+                                             int lane_count,
+                                             OccurrenceRows& occurrences) {
+  std::vector<WarpAccess> groups;
+  occurrences.clear();
   for (int k = 0; k < lane_count; ++k) {
-    occurrence.clear();
-    const std::vector<MemAccess>& seq = get(k);
-    for (const MemAccess& a : seq) {
-      const InstKey key{a.site, occurrence[a.site]++};
-      auto [it, inserted] = index.emplace(key, groups.size());
-      if (inserted) groups.emplace_back(warp_size);
-      groups[it->second][static_cast<std::size_t>(k)] = a;
-    }
+    occurrences.begin_lane();
+    for_each_lane_access(s, k, [&](std::uint64_t key, std::uint64_t addr) {
+      bool opened = false;
+      const std::uint32_t r = occurrences.row(trace_key_site(key), opened);
+      if (opened) groups.emplace_back(s.stride);
+      groups[r][static_cast<std::size_t>(k)] =
+          MemAccess{addr, trace_key_size(key), trace_key_site(key), true,
+                    trace_key_store(key)};
+    });
   }
   return groups;
 }
@@ -186,42 +282,29 @@ void accumulate_texture(const DeviceSpec& spec, WarpTrace& wt,
   }
 }
 
-// Exact per-lane sequences of a dirty (positionally-diverged) batch stream:
-// each lane's matched prefix rows plus its overflow tail, regrouped by
-// (site, occurrence).  `scratch` is reused across streams.
-std::vector<WarpAccess> regroup_dirty_stream(
-    const WarpSpaceBatch& s, int lane_count,
-    std::vector<std::vector<MemAccess>>& scratch) {
-  if (static_cast<int>(scratch.size()) < lane_count)
-    scratch.resize(static_cast<std::size_t>(lane_count));
-  for (int k = 0; k < lane_count; ++k)
-    s.reconstruct_lane(k, &scratch[static_cast<std::size_t>(k)]);
-  return group_warp_instructions(
-      lane_count,
-      [&](int k) -> const std::vector<MemAccess>& {
-        return scratch[static_cast<std::size_t>(k)];
-      },
-      s.stride);
-}
-
-// Feeds every warp-level instruction of one stream to `on_row(site, store,
-// SoaWarpAccess)` when the stream is clean — its rows ARE the grouped
-// instruction sequence, in first-appearance order — or to `on_group(site,
-// store, WarpAccess)` after regrouping a dirty stream.
+// Feeds every warp-level instruction of one stream, in first-appearance
+// order, to `on_row(site, store, SoaWarpAccess)`: a clean stream's rows ARE
+// that sequence, and a dirty stream is regrouped into `scratch`'s rows
+// first.  Only a dirty stream whose groups mix static keys goes to
+// `on_group(site, store, WarpAccess)` instead.
 template <class OnRow, class OnGroup>
 void for_each_instruction(const WarpSpaceBatch& s, int lane_count,
-                          std::vector<std::vector<MemAccess>>& scratch,
-                          OnRow&& on_row, OnGroup&& on_group) {
-  if (!s.dirty()) {
-    for (std::size_t j = 0; j < s.rows(); ++j) {
-      const std::uint64_t key = s.keys[j];
+                          RegroupedRows& scratch, OnRow&& on_row,
+                          OnGroup&& on_group) {
+  // `rows` is a WarpSpaceBatch or RegroupedRows: the same SoA columns.
+  const auto feed = [&](const auto& rows) {
+    const std::size_t stride = static_cast<std::size_t>(rows.stride);
+    for (std::size_t j = 0; j < rows.keys.size(); ++j) {
+      const std::uint64_t key = rows.keys[j];
       on_row(trace_key_site(key), trace_key_store(key),
-             SoaWarpAccess{s.masks[j], trace_key_size(key), s.row_addrs(j),
-                           s.stride});
+             SoaWarpAccess{rows.masks[j], trace_key_size(key),
+                           rows.addrs.data() + j * stride, rows.stride});
     }
-    return;
-  }
-  for (const WarpAccess& acc : regroup_dirty_stream(s, lane_count, scratch))
+  };
+  if (!s.dirty()) return feed(s);
+  if (regroup_dirty_stream(s, lane_count, scratch)) return feed(scratch);
+  for (const WarpAccess& acc :
+       regroup_mixed_stream(s, lane_count, scratch.occurrences))
     on_group(group_site(acc), group_store(acc), acc);
 }
 
@@ -238,7 +321,10 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
   BlockTrace block;
   block.warps.resize(num_warps);
   SiteAccumulator sites(lanes);
-  std::vector<std::vector<MemAccess>> scratch;  // dirty-stream reconstruction
+  RegroupedRows scratch;  // dirty-stream regrouping, reused across streams
+  // Branch outcomes per (site, occurrence): bit 0 taken, bit 1 not taken.
+  OccurrenceRows branch_rows;
+  std::vector<std::uint8_t> branch_outcomes;
   SiteCounts warp_syncs, lane_syncs;  // barrier counts, reused across warps
 
   // One texture cache per block approximates the per-SM cache shared by the
@@ -262,25 +348,20 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
     for (int k = lo; k < hi; ++k) wt.lane_flops += lanes[k].flops;
 
     // --- Branch divergence: group outcomes by (site, occurrence) ---
-    {
-      std::unordered_map<InstKey, std::pair<bool, bool>, InstKeyHash> seen;
-      std::vector<InstKey> order;
-      std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
-      for (int k = lo; k < hi; ++k) {
-        occurrence.clear();
-        for (const BranchEvent& b : lanes[k].branches) {
-          const InstKey key{b.site, occurrence[b.site]++};
-          auto [it, inserted] = seen.emplace(key, std::pair{false, false});
-          if (inserted) order.push_back(key);
-          (b.taken ? it->second.first : it->second.second) = true;
-        }
-      }
-      wt.branches += order.size();
-      for (const auto& key : order) {
-        const auto& [taken, not_taken] = seen.at(key);
-        if (taken && not_taken) ++wt.divergent_branches;
+    branch_rows.clear();
+    branch_outcomes.clear();
+    for (int k = lo; k < hi; ++k) {
+      branch_rows.begin_lane();
+      for (const BranchEvent& b : lanes[k].branches) {
+        bool opened = false;
+        const std::uint32_t r = branch_rows.row(b.site, opened);
+        if (opened) branch_outcomes.push_back(0);
+        branch_outcomes[r] |= b.taken ? 1 : 2;
       }
     }
+    wt.branches += branch_outcomes.size();
+    for (const std::uint8_t o : branch_outcomes)
+      if (o == 3) ++wt.divergent_branches;
 
     const int lanes_in_warp = hi - lo;
 

@@ -5,8 +5,15 @@
 //
 // A clean arena stream IS the warp's instruction sequence (one SoA row per
 // warp-level instruction) and feeds the streaming *_soa analyzers directly.
-// A dirty (positionally-diverged) stream is reconstructed per lane and
-// regrouped by (site, occurrence-at-site) before the AoS analyzers run.
+// A dirty (positionally-diverged) stream is walked lane by lane (matched
+// prefix rows, then overflow) and regrouped by (site, occurrence-at-site)
+// into reusable SoA columns of the same layout, through flat per-site
+// occurrence -> row tables, so its rows feed the same *_soa analyzers.  Only
+// a stream in which one group mixes two static keys (a site issued at two
+// widths, or as both load and store) is materialized as AoS WarpAccess
+// groups for the AoS analyzers.  Branch outcomes are grouped by (site,
+// occurrence) through the same flat tables.  tests/block_trace_oracle.h
+// holds the hash-map, all-AoS reference these paths are checked against.
 #pragma once
 
 #include <vector>

@@ -482,17 +482,75 @@ TEST(LaunchStatus, ConstantSpaceExhaustionIsStructured) {
   EXPECT_EQ(dev.get_last_error(), Status::kConstantSpaceExceeded);
 }
 
+// Index 16 of a 16-element view through view op `op` (global ld/st, shared
+// ld/st, constant ld, texture fetch), in block 1 only: a launch that samples
+// one block traces block 0 cleanly, so the access faults in whichever later
+// pass runs block 1.
+struct OobViewOpKernel {
+  int op = 0;
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& g,
+                  const ConstantBuffer<float>& c,
+                  const Texture1D<float>& t) const {
+    auto G = ctx.global(g);
+    auto S = ctx.template shared<float>(16);
+    auto C = ctx.constant(c);
+    auto T = ctx.texture(t);
+    if (ctx.block_idx().x != 1) return;
+    const std::size_t i = 16;
+    switch (op) {
+      case 0: G.ld(i); break;
+      case 1: G.st(i, 1.0f); break;
+      case 2: S.ld(i); break;
+      case 3: S.st(i, 1.0f); break;
+      case 4: C.ld(i); break;
+      default: T.fetch(i); break;
+    }
+  }
+};
+
 TEST(LaunchStatus, OutOfBoundsAccessIsInvalidAddress) {
-  Device dev;
-  auto d = dev.alloc<float>(16);
-  LaunchOptions opt;
-  opt.uses_sync = false;
-  const auto [code, msg] = catch_status([&] {
-    launch(dev, Dim3(1), Dim3(1), opt, OobKernel{}, d);
-  });
-  EXPECT_EQ(code, Status::kInvalidAddress);
-  EXPECT_NE(msg.find("out of bounds"), std::string::npos) << msg;
-  EXPECT_EQ(dev.get_last_error(), Status::kInvalidAddress);
+  {
+    Device dev;
+    auto d = dev.alloc<float>(16);
+    LaunchOptions opt;
+    opt.uses_sync = false;
+    const auto [code, msg] = catch_status([&] {
+      launch(dev, Dim3(1), Dim3(1), opt, OobKernel{}, d);
+    });
+    EXPECT_EQ(code, Status::kInvalidAddress);
+    EXPECT_NE(msg.find("out of bounds"), std::string::npos) << msg;
+    EXPECT_EQ(dev.get_last_error(), Status::kInvalidAddress);
+  }
+  // Every view op, in the pass that first reaches block 1: the trace pass
+  // (both blocks sampled), the functional pass (fast path, no trace) and
+  // the sanitize pass (block 0 sampled only).
+  const char* const kWhat[] = {"global load",  "global store",
+                               "shared load",  "shared store",
+                               "constant load", "texture fetch"};
+  enum class Pass { kTrace, kFunctional, kSanitize };
+  for (const Pass pass : {Pass::kTrace, Pass::kFunctional, Pass::kSanitize}) {
+    for (int op = 0; op < 6; ++op) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pass " << static_cast<int>(pass) << ", " << kWhat[op]);
+      Device dev;
+      auto g = dev.alloc<float>(16);
+      auto c = dev.alloc_constant<float>(16);
+      auto t = dev.alloc_texture<float>(16);
+      LaunchOptions opt;
+      opt.uses_sync = false;
+      opt.sample_blocks = pass == Pass::kTrace ? 2 : 1;
+      opt.fast_path = pass == Pass::kFunctional;
+      opt.sanitize.enabled = pass == Pass::kSanitize;
+      const auto [code, msg] = catch_status([&] {
+        launch(dev, Dim3(2), Dim3(4), opt, OobViewOpKernel{op}, g, c, t);
+      });
+      EXPECT_EQ(code, Status::kInvalidAddress);
+      EXPECT_EQ(msg, std::string("invalid device address: ") + kWhat[op] +
+                         " out of bounds: 16 >= 16");
+      EXPECT_EQ(dev.get_last_error(), Status::kInvalidAddress);
+    }
+  }
 }
 
 TEST(LaunchStatus, SuccessfulLaunchLeavesStatusClean) {

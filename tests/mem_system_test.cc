@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "hw/device_spec.h"
 #include "mem/bank_conflict.h"
+#include "mem/coalescing.h"
 #include "mem/const_cache.h"
 #include "mem/dram.h"
 #include "mem/texture_cache.h"
@@ -191,6 +192,99 @@ TEST(ConstCache, WarpExtraPasses) {
   const auto cost = analyze_const_warp(kSpec, w);
   EXPECT_EQ(cost.passes, 1 + 16);
   EXPECT_EQ(cost.extra_passes, (1 - 1) + (16 - 1));
+}
+
+// ---- Random SoA rows against the AoS analyzers --------------------------------
+
+// One random trace-arena row and its AoS expansion (inactive lanes keep
+// their address, which the SoA analyzers must ignore).  Shapes: aligned
+// stride-1 (coalescable), misaligned stride-1, broadcast, a few clustered
+// words, a random stride, random words.  Partial warps and sparse masks
+// throughout; `max_size_log2` > 2 adds widths beyond 16 bytes.
+struct RandomRow {
+  std::uint32_t size = 4;
+  int lanes = 32;
+  std::uint32_t mask = 0;
+  std::uint64_t addrs[32] = {};
+  WarpAccess aos;
+  int shape = 0;
+
+  SoaWarpAccess soa() const { return SoaWarpAccess{mask, size, addrs, lanes}; }
+};
+
+RandomRow random_row(SplitMix64& rng, int max_size_log2) {
+  RandomRow r;
+  r.size = 4u << rng.next_below(static_cast<std::uint64_t>(max_size_log2) + 1);
+  if (r.size > 16 && rng.next_below(4) != 0) r.size = 4;
+  r.lanes = rng.next_below(4) == 0 ? 1 + static_cast<int>(rng.next_below(32))
+                                   : 32;
+  switch (rng.next_below(4)) {
+    case 0: r.mask = ~0u; break;
+    case 1: r.mask = 0xFFFFu << (16 * rng.next_below(2)); break;
+    default: r.mask = static_cast<std::uint32_t>(rng.next_u64()); break;
+  }
+  if (r.lanes < 32) r.mask &= (1u << r.lanes) - 1u;
+  r.shape = static_cast<int>(rng.next_below(6));
+  const std::uint64_t seg = 16ull * r.size;
+  const std::uint64_t base = r.shape == 0 ? seg * rng.next_below(1 << 8)
+                                          : 4 * rng.next_below(1 << 12);
+  const std::uint64_t stride = 4 * (1 + rng.next_below(33));
+  const std::uint64_t cluster = 1 + rng.next_below(4);
+  r.aos.resize(static_cast<std::size_t>(r.lanes));
+  for (int k = 0; k < r.lanes; ++k) {
+    const std::uint64_t kk = static_cast<std::uint64_t>(k) % 16;
+    std::uint64_t& a = r.addrs[k];
+    switch (r.shape) {
+      case 0:
+      case 1: a = base + kk * r.size; break;
+      case 2: a = base; break;
+      case 3: a = base + 4 * rng.next_below(cluster); break;
+      case 4: a = base + kk * stride; break;
+      default: a = 4 * rng.next_below(1 << 16); break;
+    }
+    r.aos[static_cast<std::size_t>(k)] = {a, r.size, 0,
+                                          (r.mask >> k & 1u) != 0};
+  }
+  return r;
+}
+
+TEST(Coalescing, SoaMatchesReferenceOnRandomRows) {
+  SplitMix64 rng(0xc0a1e5ce);
+  int coalesced = 0, serialized = 0, giant = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const RandomRow r = random_row(rng, 6);
+    const CoalesceResult want = analyze_warp(kSpec, r.aos);
+    const CoalesceResult got = analyze_warp_soa(kSpec, r.soa());
+    const auto where = ::testing::Message()
+                       << "iter " << iter << " shape " << r.shape << " size "
+                       << r.size << " mask " << r.mask;
+    ASSERT_EQ(got.transactions, want.transactions) << where;
+    ASSERT_EQ(got.dram_bytes, want.dram_bytes) << where;
+    ASSERT_EQ(got.scattered_bytes, want.scattered_bytes) << where;
+    ASSERT_EQ(got.useful_bytes, want.useful_bytes) << where;
+    ASSERT_EQ(got.coalesced, want.coalesced) << where;
+    if (want.transactions > 0) ++(want.coalesced ? coalesced : serialized);
+    if (r.size > 64 && !want.coalesced) ++giant;
+  }
+  // Coalesced rows, serialized rows, and widths past the scratch array.
+  EXPECT_GT(coalesced, 200);
+  EXPECT_GT(serialized, 200);
+  EXPECT_GT(giant, 20);
+}
+
+TEST(ConstCache, SoaMatchesReferenceOnRandomRows) {
+  SplitMix64 rng(0xc0257a47);
+  int broadcast = 0, serialized = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    const RandomRow r = random_row(rng, 2);
+    const WarpConstCost want = analyze_const_warp(kSpec, r.aos);
+    const WarpConstCost got = analyze_const_warp_soa(kSpec, r.soa());
+    ASSERT_EQ(got.passes, want.passes) << "iter " << iter;
+    ASSERT_EQ(got.extra_passes, want.extra_passes) << "iter " << iter;
+    if (want.passes > 0) ++(want.extra_passes == 0 ? broadcast : serialized);
+  }
+  EXPECT_GT(broadcast, 200);
+  EXPECT_GT(serialized, 200);
 }
 
 // ---- Texture cache ------------------------------------------------------------

@@ -15,6 +15,8 @@
 // traces of its sampled blocks.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <source_location>
 #include <vector>
 
 #include "apps/matmul/matmul.h"
@@ -141,11 +143,16 @@ std::vector<BlockTrace> expect_blocks_match_oracle(
   for (std::uint64_t b = 0; b < grid.count(); ++b) {
     const BlockTrace a = clean.record(b, kernel, args...);
     any_dirty = any_dirty || clean.any_dirty();
+    const BlockTrace ref = clean.reference();
     oracle.push_back(dirty.record(b, kernel, args...));
     const BlockTrace& o = oracle.back();
     EXPECT_FALSE(o.warps.empty()) << "block " << b;
     EXPECT_TRUE(a.warps == o.warps) << "block " << b;
     EXPECT_TRUE(a.sites == o.sites) << "block " << b;
+    EXPECT_TRUE(ref.warps == o.warps && ref.sites == o.sites) << "block " << b;
+    const BlockTrace dirty_ref = dirty.reference();
+    EXPECT_TRUE(dirty_ref.warps == o.warps && dirty_ref.sites == o.sites)
+        << "block " << b;
   }
   EXPECT_EQ(any_dirty, expect == Streams::kSomeDirty);
   return oracle;
@@ -295,6 +302,140 @@ TEST(TraceBatch, BlockParallelPoolsMatchOracle) {
         launch(f.dev, f.grid(), f.block(), opt, f.kernel, f.a, f.b, f.c);
     EXPECT_TRUE(stats.trace == oracle) << "workers=" << workers;
   }
+}
+
+
+// ---- Random dirty streams against the reference collector -------------------
+
+// Whether some warp-level instruction of `arena` mixes two access widths or
+// directions among its lanes, which only the AoS analyzers can score.
+bool has_mixed_group(const TraceArena& arena, int threads) {
+  for (int w = 0; w < arena.num_warps(); ++w) {
+    const int lanes = std::min(arena.warp_size(), threads - w * arena.warp_size());
+    for (int sp = 0; sp < kNumTraceSpaces; ++sp) {
+      for (const WarpAccess& acc :
+           reference::stream_instructions(arena.stream(w, sp), lanes)) {
+        const MemAccess& first = reference::first_active(acc);
+        for (const MemAccess& a : acc)
+          if (a.active && (a.size != first.size || a.store != first.store))
+            return true;
+      }
+    }
+  }
+  return false;
+}
+
+// Synthetic blocks recorded straight through LaneRecorder, most with every
+// stream forced dirty: 1-8 sites in each of the four spaces, random program
+// lengths, 1-32 lanes in the last warp, lanes that skip memory and branch
+// sites at lane-specific rates (the tpacf shape), coalesced, broadcast and
+// scattered addresses, and in half the blocks one site issued at two widths
+// (per lane, so that groups mix widths, or per step, so that they do not).
+// collect_block_trace must agree with the reference on every block.
+TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
+  const DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
+  std::mt19937_64 rng(0x5eed1e55u);
+  const auto uniform = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const std::source_location loc = std::source_location::current();
+  constexpr OpClass kLoads[kNumTraceSpaces] = {
+      OpClass::kLoadGlobal, OpClass::kLoadShared, OpClass::kLoadConst,
+      OpClass::kLoadTexture};
+  constexpr OpClass kStores[2] = {OpClass::kStoreGlobal,
+                                  OpClass::kStoreShared};
+  struct Site {
+    std::uint32_t id;
+    OpClass op;
+    std::uint32_t size;
+  };
+  struct Step {
+    int site;
+    int pattern;  // 0 coalesced, 1 broadcast, 2 scattered
+    std::uint64_t base;
+  };
+
+  TraceArena arena;
+  std::vector<LaneTrace> lanes;
+  int mixed_blocks = 0, naturally_dirty = 0, divergent_branches = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const int threads = uniform(1, 96);
+    const bool force_dirty = uniform(0, 3) != 0;
+    lanes.assign(static_cast<std::size_t>(threads), LaneTrace{});
+    arena.begin_block(spec, threads);
+    if (force_dirty) {
+      for (int w = 0; w < arena.num_warps(); ++w)
+        for (int sp = 0; sp < kNumTraceSpaces; ++sp)
+          arena.stream(w, sp)->diverged = ~0u;
+    }
+
+    std::vector<Site> sites;
+    for (int sp = 0; sp < kNumTraceSpaces; ++sp) {
+      for (int j = uniform(1, 8); j > 0; --j) {
+        const bool store = sp < 2 && uniform(0, 1) == 1;
+        sites.push_back({static_cast<std::uint32_t>(rng()),
+                         store ? kStores[sp] : kLoads[sp],
+                         4u << uniform(0, 2)});
+      }
+    }
+    const int last_site = static_cast<int>(sites.size()) - 1;
+    const int two_width = uniform(0, 1) == 1 ? uniform(0, last_site) : -1;
+    const bool per_lane_width = uniform(0, 1) == 1;
+    std::vector<Step> program(static_cast<std::size_t>(uniform(0, 40)));
+    for (Step& st : program)
+      st = {uniform(0, last_site), uniform(0, 2),
+            static_cast<std::uint64_t>(uniform(0, 63)) * 1024};
+    const std::uint32_t branch_sites[4] = {
+        static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng()),
+        static_cast<std::uint32_t>(rng()), static_cast<std::uint32_t>(rng())};
+    // Per branch step: its site and whether lanes take it (0 never, 1
+    // always, 2 a per-lane coin).
+    std::vector<std::pair<int, int>> branches(
+        static_cast<std::size_t>(uniform(0, 24)));
+    for (auto& b : branches) b = {uniform(0, 3), uniform(0, 2)};
+
+    for (int t = 0; t < threads; ++t) {
+      LaneRecorder rec(&lanes[static_cast<std::size_t>(t)], &arena, t);
+      const int skip = uniform(0, 4);  // skips a step with odds skip / 8
+      for (std::size_t j = 0; j < program.size(); ++j) {
+        if (uniform(0, 7) < skip) continue;
+        const Step& st = program[j];
+        const Site& site = sites[static_cast<std::size_t>(st.site)];
+        std::uint32_t size = site.size;
+        if (st.site == two_width &&
+            (per_lane_width ? uniform(0, 1) == 1 : j % 2 == 1))
+          size = size == 4 ? 8 : 4;
+        const std::uint64_t addr =
+            st.pattern == 0   ? st.base + static_cast<std::uint64_t>(t) * size
+            : st.pattern == 1 ? st.base
+                              : static_cast<std::uint64_t>(uniform(0, 4095)) * 4;
+        rec.mem(site.op, addr, size, site.id, loc);
+      }
+      for (const auto& [site, taken] : branches) {
+        if (uniform(0, 7) < skip) continue;
+        rec.branch_outcome(taken == 2 ? uniform(0, 1) == 1 : taken == 1,
+                           branch_sites[site]);
+      }
+    }
+
+    bool dirty = false;
+    for (int w = 0; w < arena.num_warps(); ++w)
+      for (int sp = 0; sp < kNumTraceSpaces; ++sp)
+        dirty = dirty || arena.stream(w, sp)->dirty();
+    if (!force_dirty && dirty) ++naturally_dirty;
+    if (has_mixed_group(arena, threads)) ++mixed_blocks;
+
+    const BlockTrace got = collect_block_trace(spec, lanes, arena);
+    const BlockTrace want = reference::collect_block_trace(spec, lanes, arena);
+    EXPECT_TRUE(got.warps == want.warps) << "block " << iter;
+    EXPECT_TRUE(got.sites == want.sites) << "block " << iter;
+    for (const WarpTrace& wt : want.warps)
+      divergent_branches += static_cast<int>(wt.divergent_branches);
+  }
+  // The blocks reach every path the comparison claims to cover.
+  EXPECT_GT(mixed_blocks, 20);
+  EXPECT_GT(naturally_dirty, 20);
+  EXPECT_GT(divergent_branches, 100);
 }
 
 }  // namespace
