@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "apps/suite.h"
 #include "bench/harness.h"
 #include "resil/campaign.h"
 
@@ -22,8 +23,7 @@ int main(int argc, char** argv) {
   const char* smoke = std::getenv("G80_CAMPAIGN_SMOKE");
   cfg.smoke = smoke != nullptr && smoke[0] != '\0' && smoke[0] != '0';
 
-  const auto targets = resil::default_targets();
-  const auto report = resil::run_campaign(targets, cfg);
+  const auto report = resil::run_campaign(cfg);
 
   struct Tally {
     int total = 0, detected = 0, recovered = 0, identical = 0;
@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
     t.recovered += c.recovered ? 1 : 0;
     t.identical += c.identical ? 1 : 0;
   }
-  // Rows in target order (the map is keyed alphabetically; follow the suite).
-  for (const auto& t : targets) {
-    const auto& tally = per_target[t.name];
-    auto& r = h.result(t.name);
+  // Rows in suite order (the map is keyed alphabetically).
+  for (const auto& app : apps::make_suite()) {
+    const auto& tally = per_target[app->key];
+    auto& r = h.result(app->key);
     r.set("cases", tally.total);
     r.set("detected", tally.detected);
     r.set("recovered", tally.recovered);

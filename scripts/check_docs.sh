@@ -4,7 +4,10 @@
 #   1. every relative markdown link in README.md and docs/*.md resolves to
 #      an existing file (anchors stripped; external schemes skipped), and
 #   2. every `./build/bench/<target>` command in README.md or any docs/*.md
-#      names a bench target that actually exists in bench/CMakeLists.txt.
+#      names a bench target that actually exists in bench/CMakeLists.txt, and
+#   3. every backticked repo path under src/, tests/, bench/, scripts/,
+#      perfbench/ or examples/ in those docs exists, so docs cannot keep
+#      naming code after it is deleted.
 #
 # Usage: scripts/check_docs.sh    (from anywhere; paths resolve to the repo)
 set -euo pipefail
@@ -47,8 +50,30 @@ for doc in "$repo"/README.md "$repo"/docs/*.md; do
            | sed 's|\./build/bench/||' | sort -u)
 done
 
+# --- 3. documented repo paths exist -------------------------------------------
+# A token may be a glob (`src/apps/*/*.h`) or carry arguments after a space.
+# A bare bench/<name> or examples/<name> names the program built from
+# <name>.cc or <name>.cpp.
+for doc in "$repo"/README.md "$repo"/docs/*.md; do
+  while IFS= read -r path; do
+    path="${path%% *}"
+    if compgen -G "$repo/$path" > /dev/null; then continue; fi
+    case "$path" in
+      bench/*|examples/*)
+        if [ -e "$repo/$path.cc" ] || [ -e "$repo/$path.cpp" ]; then
+          continue
+        fi
+        ;;
+    esac
+    echo "MISSING PATH: ${doc#"$repo"/} names '$path' but the repo has no" \
+         "such file"
+    fail=1
+  done < <(grep -oE '`(src|tests|bench|scripts|perfbench|examples)/[^`]*`' \
+           "$doc" | tr -d '`' | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: all documentation links and bench targets resolve"
+echo "check_docs: all documentation links, bench targets and repo paths resolve"

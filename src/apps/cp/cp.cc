@@ -55,7 +55,31 @@ AppInfo CpApp::info() const {
   };
 }
 
-AppResult CpApp::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: atoms into constant memory, one launch over the grid's
+// 16x16 tiles, read back the potential.
+LaunchStats cp_gpu(Device& dev, const CpWorkload& w, const LaunchOptions& base,
+                   std::vector<float>& potential) {
+  auto atoms = dev.alloc_constant<Float4>(w.atoms.size());
+  atoms.copy_from_host(w.atoms);
+  auto out =
+      dev.alloc<float>(static_cast<std::size_t>(w.grid_dim) * w.grid_dim);
+
+  const Dim3 block(16, 16);
+  const Dim3 grid(static_cast<unsigned>(w.grid_dim / 16),
+                  static_cast<unsigned>(w.grid_dim / 16));
+  const auto stats =
+      launch(dev, grid, block, app_launch_options(base, 10, false),
+             CpKernel{w.grid_dim, w.spacing, w.slice_z}, atoms, out);
+  potential = out.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult CpApp::run(const DeviceSpec& spec, RunScale scale,
+                     const LaunchOptions& base) const {
   Device dev(spec);
   const int grid_dim = scale == RunScale::kQuick ? 64 : 256;
   const int num_atoms = scale == RunScale::kQuick ? 128 : 1024;
@@ -72,21 +96,8 @@ AppResult CpApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port ---
   dev.ledger().reset();
-  auto atoms = dev.alloc_constant<Float4>(w.atoms.size());
-  atoms.copy_from_host(w.atoms);
-  auto out = dev.alloc<float>(static_cast<std::size_t>(grid_dim) * grid_dim);
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 10;
-  opt.uses_sync = false;
-  const Dim3 block(16, 16);
-  const Dim3 grid(static_cast<unsigned>(grid_dim / 16),
-                  static_cast<unsigned>(grid_dim / 16));
-  const auto stats = launch(dev, grid, block, opt,
-                            CpKernel{grid_dim, w.spacing, w.slice_z}, atoms, out);
-  const auto v_gpu = out.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<float> v_gpu;
+  accumulate_launch(r, dev.spec(), cp_gpu(dev, w, base, v_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // --- Validate ---
@@ -95,6 +106,14 @@ AppResult CpApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(v_gpu[i], v_ref[i], 1e-3));
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+CampaignRun CpApp::launch_campaign(Device& dev,
+                                   const LaunchOptions& base) const {
+  std::vector<float> potential;
+  const auto stats =
+      cp_gpu(dev, CpWorkload::generate(32, 32, 13), base, potential);
+  return {output_digest(potential), stats};
 }
 
 }  // namespace g80::apps

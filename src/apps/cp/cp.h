@@ -80,8 +80,12 @@ struct CpKernel {
 
 class CpApp : public App {
  public:
+  CpApp() : App("cp", {0, 1, 33}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

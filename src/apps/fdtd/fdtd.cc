@@ -1,5 +1,7 @@
 #include "apps/fdtd/fdtd.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/measure.h"
@@ -100,6 +102,50 @@ std::vector<float> fdtd_cpu_split(const FdtdParams& p, FdtdFields& f,
   return energies;
 }
 
+// The GPU port's device-resident fields Ex, Ey, Ez, Hx, Hy, Hz (indices
+// 0-5), double-buffered: a step launch reads `cur`, writes `next` for three
+// components and swaps those in.  Points into its own `buffers`, so it is
+// not copied.
+struct FdtdDeviceFields {
+  FdtdDeviceFields(Device& dev, const FdtdParams& p, const FdtdFields& init,
+                   const LaunchOptions& base)
+      : dev(dev),
+        opt(app_launch_options(base, 16, false)),
+        block(static_cast<unsigned>(std::min(p.nx, 128))),
+        grid(static_cast<unsigned>(p.nx / block.x),
+             static_cast<unsigned>(p.ny * p.nz)) {
+    const std::vector<float>* host[6] = {&init.ex, &init.ey, &init.ez,
+                                         &init.hx, &init.hy, &init.hz};
+    for (int c = 0; c < 6; ++c) {  // allocation order fixes the addresses
+      buffers[2 * c] = dev.alloc<float>(p.cells());
+      buffers[2 * c + 1] = dev.alloc<float>(p.cells());
+      cur[c] = &buffers[2 * c];
+      next[c] = &buffers[2 * c + 1];
+    }
+    for (int c = 0; c < 6; ++c) cur[c]->copy_from_host(*host[c]);
+  }
+  FdtdDeviceFields(const FdtdDeviceFields&) = delete;
+  FdtdDeviceFields& operator=(const FdtdDeviceFields&) = delete;
+
+  // One update of components out..out+2 from components in..in+2.
+  template <class Kernel>
+  LaunchStats step(const Kernel& k, int in, int out) {
+    const auto stats =
+        launch(dev, grid, block, opt, k, *cur[in], *cur[in + 1], *cur[in + 2],
+               *cur[out], *cur[out + 1], *cur[out + 2], *next[out],
+               *next[out + 1], *next[out + 2]);
+    for (int c = out; c < out + 3; ++c) std::swap(cur[c], next[c]);
+    return stats;
+  }
+
+  Device& dev;
+  const LaunchOptions opt;
+  const Dim3 block, grid;
+  std::array<DeviceBuffer<float>, 12> buffers;
+  DeviceBuffer<float>* cur[6] = {};
+  DeviceBuffer<float>* next[6] = {};
+};
+
 }  // namespace
 
 std::vector<float> fdtd_cpu(const FdtdParams& p, FdtdFields& f) {
@@ -121,7 +167,8 @@ AppInfo FdtdApp::info() const {
   };
 }
 
-AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale) const {
+AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale,
+                       const LaunchOptions& base) const {
   Device dev(spec);
   FdtdParams p;
   if (scale == RunScale::kQuick) {
@@ -151,51 +198,24 @@ AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale) const {
   // --- GPU port ---
   dev.ledger().reset();
   const std::size_t cells = p.cells();
-  auto ex_a = dev.alloc<float>(cells), ex_b = dev.alloc<float>(cells);
-  auto ey_a = dev.alloc<float>(cells), ey_b = dev.alloc<float>(cells);
-  auto ez_a = dev.alloc<float>(cells), ez_b = dev.alloc<float>(cells);
-  auto hx_a = dev.alloc<float>(cells), hx_b = dev.alloc<float>(cells);
-  auto hy_a = dev.alloc<float>(cells), hy_b = dev.alloc<float>(cells);
-  auto hz_a = dev.alloc<float>(cells), hz_b = dev.alloc<float>(cells);
-  const std::vector<float> zeros(cells, 0.0f);
-  for (auto* b : {&ex_a, &ey_a, &ez_a, &hx_a, &hy_a, &hz_a})
-    b->copy_from_host(zeros);
-
-  auto *ex = &ex_a, *exn = &ex_b, *ey = &ey_a, *eyn = &ey_b, *ez = &ez_a,
-       *ezn = &ez_b;
-  auto *hx = &hx_a, *hxn = &hx_b, *hy = &hy_a, *hyn = &hy_b, *hz = &hz_a,
-       *hzn = &hz_b;
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 16;
-  opt.uses_sync = false;
-  const Dim3 block(static_cast<unsigned>(std::min(p.nx, 128)));
-  const Dim3 grid(static_cast<unsigned>(p.nx / block.x),
-                  static_cast<unsigned>(p.ny * p.nz));
+  FdtdFields zeros;
+  zeros.resize(cells);
+  FdtdDeviceFields d(dev, p, zeros, base);
 
   std::vector<float> energies_gpu;
   Timer serial_timer;
   double gpu_serial = 0;
   for (int s = 0; s < p.steps; ++s) {
-    auto hstats = launch(dev, grid, block, opt, FdtdHKernel{p}, *ex, *ey, *ez,
-                         *hx, *hy, *hz, *hxn, *hyn, *hzn);
-    std::swap(hx, hxn);
-    std::swap(hy, hyn);
-    std::swap(hz, hzn);
-    accumulate_launch(r, dev.spec(), hstats);
-    auto estats = launch(dev, grid, block, opt, FdtdEKernel{p}, *hx, *hy, *hz,
-                         *ex, *ey, *ez, *exn, *eyn, *ezn);
-    std::swap(ex, exn);
-    std::swap(ey, eyn);
-    std::swap(ez, ezn);
-    accumulate_launch(r, dev.spec(), estats, /*representative=*/true);
+    accumulate_launch(r, dev.spec(), d.step(FdtdHKernel{p}, 0, 3));
+    accumulate_launch(r, dev.spec(), d.step(FdtdEKernel{p}, 3, 0),
+                      /*representative=*/true);
 
     // Serial phase on the host: inject source (tiny h2d) and pull Ez back
     // for the energy observation (d2h of the full component).
     serial_timer.reset();
-    ez->raw()[p.idx(p.nx / 2, p.ny / 2, p.nz / 2)] += fdtd_source(p, s);
+    d.cur[2]->raw()[p.idx(p.nx / 2, p.ny / 2, p.nz / 2)] += fdtd_source(p, s);
     dev.ledger().record_h2d(sizeof(float));
-    const auto ez_host = ez->copy_to_host();
+    const auto ez_host = d.cur[2]->copy_to_host();
     energies_gpu.push_back(fdtd_observe_plane(p, ez_host));
     gpu_serial += serial_timer.seconds();
   }
@@ -205,9 +225,9 @@ AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- Validate: field state and observation series ---
   double err = 0;
-  const auto ex_g = ex->copy_to_host();
-  const auto ez_g = ez->copy_to_host();
-  const auto hy_g = hy->copy_to_host();
+  const auto ex_g = d.cur[0]->copy_to_host();
+  const auto ez_g = d.cur[2]->copy_to_host();
+  const auto hy_g = d.cur[4]->copy_to_host();
   for (std::size_t c = 0; c < cells; ++c) {
     err = std::max(err, rel_err(ex_g[c], f_ref.ex[c], 1e-3));
     err = std::max(err, rel_err(ez_g[c], f_ref.ez[c], 1e-3));
@@ -217,6 +237,31 @@ AppResult FdtdApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(energies_gpu[s], energies_ref[s], 1e-3));
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+// The campaign instance is one H-field update over non-zero fields.
+CampaignRun FdtdApp::launch_campaign(Device& dev,
+                                     const LaunchOptions& base) const {
+  FdtdParams p;
+  p.nx = 16;
+  p.ny = 4;
+  p.nz = 4;
+  FdtdFields init;
+  init.resize(p.cells());
+  for (std::size_t i = 0; i < p.cells(); ++i) {
+    const float v = 0.25f * static_cast<float>(i % 7) - 0.5f;
+    init.ex[i] = v;
+    init.ey[i] = 0.5f * v;
+    init.ez[i] = 0.25f * v;
+    init.hx[i] = -v;
+    init.hy[i] = -0.5f * v;
+    init.hz[i] = -0.25f * v;
+  }
+  FdtdDeviceFields d(dev, p, init, base);
+  const auto stats = d.step(FdtdHKernel{p}, 0, 3);
+  return {output_digest(d.cur[3]->copy_to_host(), d.cur[4]->copy_to_host(),
+                        d.cur[5]->copy_to_host()),
+          stats};
 }
 
 }  // namespace g80::apps

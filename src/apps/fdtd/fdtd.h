@@ -156,8 +156,13 @@ struct FdtdEKernel {
 
 class FdtdApp : public App {
  public:
+  // HxO, HyO and HzO on both branch paths.
+  FdtdApp() : App("fdtd", {0, 1, 15}, 3) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -108,21 +108,14 @@ AppInfo FemApp::info() const {
   };
 }
 
-AppResult FemApp::run(const DeviceSpec& spec, RunScale scale) const {
-  Device dev(spec);
-  const int nodes = scale == RunScale::kQuick ? 4096 : 32768;
-  const int iters = scale == RunScale::kQuick ? 2 : 4;
-  const auto m = FemMesh::generate(nodes, 8, /*seed=*/61);
+namespace {
 
-  AppResult r;
-  r.info = info();
-
-  std::vector<float> x_ref;
-  const double host_secs = measure_seconds([&] { fem_cpu(m, iters, x_ref); });
-  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
-  r.cpu_other_seconds = 0;
-
-  dev.ledger().reset();
+// The GPU port: upload the ELL matrix, diagonal and right-hand side, run
+// `iters` Jacobi sweeps from x = 0 (ping-ponging two solution buffers),
+// read back `x`.  Returns each sweep's stats.
+std::vector<LaunchStats> fem_gpu(Device& dev, const FemMesh& m, int iters,
+                                 unsigned block_x, const LaunchOptions& base,
+                                 std::vector<float>& x) {
   std::vector<int> ell_cols;
   std::vector<float> ell_vals;
   m.to_ell(ell_cols, ell_vals);
@@ -138,21 +131,43 @@ AppResult FemApp::run(const DeviceSpec& spec, RunScale scale) const {
   d_b.copy_from_host(m.rhs);
   d_xa.fill(0.0f);
 
-  LaunchOptions opt;
-  opt.regs_per_thread = 12;
-  opt.uses_sync = false;
-  const Dim3 block(256);
-  const Dim3 grid(static_cast<unsigned>((nodes + 255) / 256));
+  const LaunchOptions opt = app_launch_options(base, 12, false);
+  const Dim3 block(block_x);
+  const Dim3 grid(static_cast<unsigned>((m.nodes + block.x - 1) / block.x));
 
+  std::vector<LaunchStats> sweeps;
   auto *src = &d_xa, *dst = &d_xb;
-  LaunchStats stats;
   for (int it = 0; it < iters; ++it) {
-    stats = launch(dev, grid, block, opt, FemKernel{nodes, m.ell_width()},
-                   d_ci, d_va, d_dg, d_b, *src, *dst);
+    sweeps.push_back(launch(dev, grid, block, opt,
+                            FemKernel{m.nodes, m.ell_width()}, d_ci, d_va,
+                            d_dg, d_b, *src, *dst));
     std::swap(src, dst);
-    accumulate_launch(r, dev.spec(), stats, /*representative=*/true);
   }
-  const auto x_gpu = src->copy_to_host();
+  x = src->copy_to_host();
+  return sweeps;
+}
+
+}  // namespace
+
+AppResult FemApp::run(const DeviceSpec& spec, RunScale scale,
+                      const LaunchOptions& base) const {
+  Device dev(spec);
+  const int nodes = scale == RunScale::kQuick ? 4096 : 32768;
+  const int iters = scale == RunScale::kQuick ? 2 : 4;
+  const auto m = FemMesh::generate(nodes, 8, /*seed=*/61);
+
+  AppResult r;
+  r.info = info();
+
+  std::vector<float> x_ref;
+  const double host_secs = measure_seconds([&] { fem_cpu(m, iters, x_ref); });
+  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
+  r.cpu_other_seconds = 0;
+
+  dev.ledger().reset();
+  std::vector<float> x_gpu;
+  for (const auto& stats : fem_gpu(dev, m, iters, 256, base, x_gpu))
+    accumulate_launch(r, dev.spec(), stats, /*representative=*/true);
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   double err = 0;
@@ -161,6 +176,14 @@ AppResult FemApp::run(const DeviceSpec& spec, RunScale scale) const {
                                 x_ref[static_cast<std::size_t>(i)], 1e-3));
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+CampaignRun FemApp::launch_campaign(Device& dev,
+                                    const LaunchOptions& base) const {
+  std::vector<float> x;
+  const auto sweeps =
+      fem_gpu(dev, FemMesh::generate(128, 8, 7), 1, 64, base, x);
+  return {output_digest(x), sweeps.front()};
 }
 
 }  // namespace g80::apps

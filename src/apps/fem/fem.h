@@ -80,8 +80,12 @@ struct FemKernel {
 
 class FemApp : public App {
  public:
+  FemApp() : App("fem", {0, 1, 63}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

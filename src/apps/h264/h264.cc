@@ -147,7 +147,36 @@ AppInfo H264App::info() const {
   };
 }
 
-AppResult H264App::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: upload both frames, one block per macroblock and one thread
+// per candidate, read back each macroblock's winning (SAD, candidate).
+LaunchStats h264_gpu(Device& dev, const H264Workload& w,
+                     const LaunchOptions& base, std::vector<std::int32_t>& sad,
+                     std::vector<std::int32_t>& cand) {
+  auto d_cur = dev.alloc<std::int32_t>(w.cur.size());
+  auto d_ref = dev.alloc<std::int32_t>(w.ref.size());
+  d_cur.copy_from_host(w.cur);
+  d_ref.copy_from_host(w.ref);
+  auto d_sad = dev.alloc<std::int32_t>(w.num_mbs());
+  auto d_cand = dev.alloc<std::int32_t>(w.num_mbs());
+
+  const Dim3 block(kCandidates);
+  const Dim3 grid(static_cast<unsigned>(w.mbs_x()),
+                  static_cast<unsigned>(w.mbs_y()));
+  const auto stats = launch(dev, grid, block,
+                            app_launch_options(base, 15, true),
+                            H264MeKernel{w.width, w.height}, d_cur, d_ref,
+                            d_sad, d_cand);
+  sad = d_sad.copy_to_host();
+  cand = d_cand.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult H264App::run(const DeviceSpec& spec, RunScale scale,
+                      const LaunchOptions& base) const {
   Device dev(spec);
   const int width = scale == RunScale::kQuick ? 64 : 192;
   const int height = scale == RunScale::kQuick ? 48 : 128;
@@ -167,24 +196,8 @@ AppResult H264App::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port: upload both frames, run ME kernel, read back motion ---
   dev.ledger().reset();
-  auto d_cur = dev.alloc<std::int32_t>(w.cur.size());
-  auto d_ref = dev.alloc<std::int32_t>(w.ref.size());
-  d_cur.copy_from_host(w.cur);
-  d_ref.copy_from_host(w.ref);
-  auto d_sad = dev.alloc<std::int32_t>(w.num_mbs());
-  auto d_cand = dev.alloc<std::int32_t>(w.num_mbs());
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 15;
-  const Dim3 block(kCandidates);
-  const Dim3 grid(static_cast<unsigned>(w.mbs_x()),
-                  static_cast<unsigned>(w.mbs_y()));
-  const auto stats = launch(dev, grid, block, opt, H264MeKernel{width, height},
-                            d_cur, d_ref, d_sad, d_cand);
-  const auto sad_gpu = d_sad.copy_to_host();
-  const auto cand_gpu = d_cand.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<std::int32_t> sad_gpu, cand_gpu;
+  accumulate_launch(r, dev.spec(), h264_gpu(dev, w, base, sad_gpu, cand_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // Serial remainder runs on the host in the GPU path too.
@@ -208,6 +221,14 @@ AppResult H264App::run(const DeviceSpec& spec, RunScale scale) const {
   if (checksum_gpu != checksum_ref) err = 1.0;
   finish_validation(r, err, 0.0);
   return r;
+}
+
+CampaignRun H264App::launch_campaign(Device& dev,
+                                     const LaunchOptions& base) const {
+  std::vector<std::int32_t> sad, cand;
+  const auto stats =
+      h264_gpu(dev, H264Workload::generate(32, 32, 23), base, sad, cand);
+  return {output_digest(sad, cand), stats};
 }
 
 }  // namespace g80::apps

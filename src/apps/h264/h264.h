@@ -173,8 +173,14 @@ struct H264MeKernel {
 
 class H264App : public App {
  public:
+  // The motion-estimation kernel's only global stores are thread 0's
+  // post-reduction writes of the winning (SAD, candidate) pair.
+  H264App() : App("h264", {0}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -1,5 +1,6 @@
 #include "apps/lbm/lbm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -117,10 +118,10 @@ void lbm_cpu(const LbmParams& p, std::vector<float>& f,
 
 LaunchStats lbm_gpu(Device& dev, const LbmParams& p, LbmLayout layout,
                     const std::vector<float>& f0, std::vector<float>& f_out,
-                    int* launches_out) {
+                    int* launches_out, const LaunchOptions& base) {
   const std::size_t cells = p.cells();
-  const int nt = 128;
-  G80_CHECK_MSG(p.nx % nt == 0 || p.nx == nt,
+  const int nt = std::min(p.nx, 128);
+  G80_CHECK_MSG(p.nx % nt == 0,
                 "lattice x extent must be a multiple of the block size");
 
   // Convert SoA initial state to the requested layout for upload.
@@ -137,9 +138,9 @@ LaunchStats lbm_gpu(Device& dev, const LbmParams& p, LbmLayout layout,
   auto d_b = dev.alloc<float>(staged.size());
   d_a.copy_from_host(staged);
 
-  LaunchOptions opt;
-  opt.regs_per_thread = 32;  // per-cell moments + loop state
-  opt.uses_sync = layout == LbmLayout::kSoAStaged;
+  // 32 registers: per-cell moments + loop state.
+  const LaunchOptions opt =
+      app_launch_options(base, 32, layout == LbmLayout::kSoAStaged);
   const Dim3 block(static_cast<unsigned>(nt));
   const Dim3 grid(static_cast<unsigned>(p.nx / nt),
                   static_cast<unsigned>(p.ny * p.nz));
@@ -179,7 +180,8 @@ AppInfo LbmApp::info() const {
   };
 }
 
-AppResult LbmApp::run(const DeviceSpec& spec, RunScale scale) const {
+AppResult LbmApp::run(const DeviceSpec& spec, RunScale scale,
+                      const LaunchOptions& base) const {
   Device dev(spec);
   LbmParams p;
   if (scale == RunScale::kQuick) {
@@ -212,7 +214,7 @@ AppResult LbmApp::run(const DeviceSpec& spec, RunScale scale) const {
   std::vector<float> f_gpu;
   int launches = 0;
   const auto stats =
-      lbm_gpu(dev, p, LbmLayout::kSoAStaged, w.f0, f_gpu, &launches);
+      lbm_gpu(dev, p, LbmLayout::kSoAStaged, w.f0, f_gpu, &launches, base);
   for (int i = 0; i < launches; ++i) accumulate_launch(r, dev.spec(), stats);
   r.launches = launches;
   r.representative = stats;
@@ -224,6 +226,20 @@ AppResult LbmApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(f_gpu[i], f_ref[i], 1e-3));
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+// The campaign instance is one staged step on a 16x4x4 lattice.
+CampaignRun LbmApp::launch_campaign(Device& dev,
+                                    const LaunchOptions& base) const {
+  LbmParams p;
+  p.nx = 16;
+  p.ny = 4;
+  p.nz = 4;
+  p.steps = 1;
+  std::vector<float> f;
+  const auto stats = lbm_gpu(dev, p, LbmLayout::kSoAStaged,
+                             LbmWorkload::generate(p).f0, f, nullptr, base);
+  return {output_digest(f), stats};
 }
 
 }  // namespace g80::apps

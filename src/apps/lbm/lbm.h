@@ -187,16 +187,22 @@ struct LbmKernel {
   static int wrap(int v, int n) { return v < 0 ? v + n : (v >= n ? v - n : v); }
 };
 
-// Runs `p.steps` launches with double buffering; returns final SoA state in
-// `f_out` and per-launch stats via the last launch (they are homogeneous).
+// Runs `p.steps` launches with double buffering, min(nx, 128) threads per
+// block and `base` options; returns final SoA state in `f_out` and
+// per-launch stats via the last launch (they are homogeneous).
 LaunchStats lbm_gpu(Device& dev, const LbmParams& p, LbmLayout layout,
                     const std::vector<float>& f0, std::vector<float>& f_out,
-                    int* launches_out);
+                    int* launches_out, const LaunchOptions& base = {});
 
 class LbmApp : public App {
  public:
+  // 19 distribution stores per thread.
+  LbmApp() : App("lbm", {0, 1, 15}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

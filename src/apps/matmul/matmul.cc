@@ -66,17 +66,14 @@ void matmul_cpu(int n, const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
-LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
-                       DeviceBuffer<float>& a, DeviceBuffer<float>& b,
-                       DeviceBuffer<float>& c, bool functional,
-                       prof::Profiler* profiler, scope::Session* scope) {
-  LaunchOptions opt;
-  opt.regs_per_thread = cfg.regs_per_thread();
-  opt.functional = functional;
-  opt.prof.sink = profiler;
-  opt.scope.sink = scope;
-  if (profiler != nullptr || scope != nullptr) opt.prof.kernel_name = cfg.name();
+namespace {
 
+// Launches `cfg`'s kernel over n x n matrices with the variant's own
+// registers and uses_sync set on `opt`.
+LaunchStats launch_variant(Device& dev, const MatmulConfig& cfg, int n,
+                           DeviceBuffer<float>& a, DeviceBuffer<float>& b,
+                           DeviceBuffer<float>& c, LaunchOptions& opt) {
+  opt.regs_per_thread = cfg.regs_per_thread();
   if (cfg.variant == MatmulVariant::kNaive ||
       cfg.variant == MatmulVariant::kNaiveUnrolled) {
     G80_CHECK_MSG(n % 16 == 0, "matrix size must be a multiple of 16");
@@ -87,6 +84,7 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
     return launch(dev, grid, block, opt, k, a, b, c);
   }
 
+  opt.uses_sync = true;
   G80_CHECK_MSG(n % cfg.tile == 0,
                 "matrix size " << n << " not divisible by tile " << cfg.tile
                                << " (the paper pads 12x12 tiles, §4.2)");
@@ -108,6 +106,37 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
   return launch(dev, grid, block, opt, k, a, b, c);
 }
 
+// The GPU port: upload A and B, the §4 study's best variant (16x16 tiled &
+// unrolled), read back `c`.
+LaunchStats matmul_gpu(Device& dev, const MatmulWorkload& w,
+                       const LaunchOptions& base, std::vector<float>& c) {
+  auto da = dev.alloc<float>(w.a.size());
+  auto db = dev.alloc<float>(w.b.size());
+  auto dc = dev.alloc<float>(w.a.size());
+  da.copy_from_host(w.a);
+  db.copy_from_host(w.b);
+
+  const MatmulConfig cfg{MatmulVariant::kTiledUnrolled, 16};
+  LaunchOptions opt = base;
+  const auto stats = launch_variant(dev, cfg, w.n, da, db, dc, opt);
+  c = dc.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
+                       DeviceBuffer<float>& a, DeviceBuffer<float>& b,
+                       DeviceBuffer<float>& c, bool functional,
+                       prof::Profiler* profiler, scope::Session* scope) {
+  LaunchOptions opt;
+  opt.functional = functional;
+  opt.prof.sink = profiler;
+  opt.scope.sink = scope;
+  if (profiler != nullptr || scope != nullptr) opt.prof.kernel_name = cfg.name();
+  return launch_variant(dev, cfg, n, a, b, c, opt);
+}
+
 AppInfo MatmulApp::info() const {
   return AppInfo{
       .name = "Matrix Mul",
@@ -122,7 +151,8 @@ AppInfo MatmulApp::info() const {
   };
 }
 
-AppResult MatmulApp::run(const DeviceSpec& spec, RunScale scale) const {
+AppResult MatmulApp::run(const DeviceSpec& spec, RunScale scale,
+                         const LaunchOptions& base) const {
   Device dev(spec);
   const int n = scale == RunScale::kQuick ? 96 : 512;
   const auto w = MatmulWorkload::generate(n, /*seed=*/7);
@@ -139,17 +169,8 @@ AppResult MatmulApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port: best variant from the §4 study ---
   dev.ledger().reset();
-  auto da = dev.alloc<float>(w.a.size());
-  auto db = dev.alloc<float>(w.b.size());
-  auto dc = dev.alloc<float>(w.a.size());
-  da.copy_from_host(w.a);
-  db.copy_from_host(w.b);
-
-  const MatmulConfig cfg{MatmulVariant::kTiledUnrolled, 16};
-  const auto stats = run_matmul(dev, cfg, n, da, db, dc, /*functional=*/true);
-  const auto c_gpu = dc.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<float> c_gpu;
+  accumulate_launch(r, dev.spec(), matmul_gpu(dev, w, base, c_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // --- Validate ---
@@ -158,6 +179,14 @@ AppResult MatmulApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(c_gpu[i], c_ref[i], 1e-3));
   finish_validation(r, err, 2e-4);
   return r;
+}
+
+CampaignRun MatmulApp::launch_campaign(Device& dev,
+                                       const LaunchOptions& base) const {
+  std::vector<float> c;
+  const auto stats =
+      matmul_gpu(dev, MatmulWorkload::generate(32, 12), base, c);
+  return {output_digest(c), stats};
 }
 
 }  // namespace g80::apps

@@ -211,8 +211,12 @@ LaunchStats run_matmul(Device& dev, const MatmulConfig& cfg, int n,
 
 class MatmulApp : public App {
  public:
+  MatmulApp() : App("matmul-tiled", {0, 1, 33}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

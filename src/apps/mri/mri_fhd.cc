@@ -41,7 +41,41 @@ AppInfo MriFhdApp::info() const {
   };
 }
 
-AppResult MriFhdApp::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: voxel coordinates to global memory, k-space samples and rho
+// to constant memory, one thread per voxel, read back F^H d.
+LaunchStats mri_fhd_gpu(Device& dev, const MriWorkload& w, unsigned block_x,
+                        const LaunchOptions& base, std::vector<float>& fr,
+                        std::vector<float>& fi) {
+  const int voxels = static_cast<int>(w.x.size());
+  auto dx = dev.alloc<float>(voxels);
+  auto dy = dev.alloc<float>(voxels);
+  auto dz = dev.alloc<float>(voxels);
+  dx.copy_from_host(w.x);
+  dy.copy_from_host(w.y);
+  dz.copy_from_host(w.z);
+  auto dk = dev.alloc_constant<Float4>(w.samples.size());
+  dk.copy_from_host(w.samples);
+  auto drho = dev.alloc_constant<Float2>(w.rho.size());
+  drho.copy_from_host(w.rho);
+  auto dfr = dev.alloc<float>(voxels);
+  auto dfi = dev.alloc<float>(voxels);
+
+  const Dim3 block(block_x);
+  const Dim3 grid(static_cast<unsigned>((voxels + block.x - 1) / block.x));
+  const auto stats =
+      launch(dev, grid, block, app_launch_options(base, 12, false),
+             MriFhdKernel{voxels}, dx, dy, dz, dk, drho, dfr, dfi);
+  fr = dfr.copy_to_host();
+  fi = dfi.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult MriFhdApp::run(const DeviceSpec& spec, RunScale scale,
+                        const LaunchOptions& base) const {
   Device dev(spec);
   const int voxels = scale == RunScale::kQuick ? 1024 : 8192;
   const int samples = scale == RunScale::kQuick ? 128 : 1024;
@@ -57,30 +91,9 @@ AppResult MriFhdApp::run(const DeviceSpec& spec, RunScale scale) const {
   r.cpu_other_seconds = 0;
 
   dev.ledger().reset();
-  auto dx = dev.alloc<float>(voxels);
-  auto dy = dev.alloc<float>(voxels);
-  auto dz = dev.alloc<float>(voxels);
-  dx.copy_from_host(w.x);
-  dy.copy_from_host(w.y);
-  dz.copy_from_host(w.z);
-  auto dk = dev.alloc_constant<Float4>(w.samples.size());
-  dk.copy_from_host(w.samples);
-  auto drho = dev.alloc_constant<Float2>(w.rho.size());
-  drho.copy_from_host(w.rho);
-  auto dfr = dev.alloc<float>(voxels);
-  auto dfi = dev.alloc<float>(voxels);
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 12;
-  opt.uses_sync = false;
-  const Dim3 block(256);
-  const Dim3 grid(static_cast<unsigned>((voxels + 255) / 256));
-  const auto stats = launch(dev, grid, block, opt, MriFhdKernel{voxels},
-                            dx, dy, dz, dk, drho, dfr, dfi);
-  const auto fr_gpu = dfr.copy_to_host();
-  const auto fi_gpu = dfi.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<float> fr_gpu, fi_gpu;
+  accumulate_launch(r, dev.spec(),
+                    mri_fhd_gpu(dev, w, 256, base, fr_gpu, fi_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   double err = 0;
@@ -90,6 +103,14 @@ AppResult MriFhdApp::run(const DeviceSpec& spec, RunScale scale) const {
   }
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+CampaignRun MriFhdApp::launch_campaign(Device& dev,
+                                       const LaunchOptions& base) const {
+  std::vector<float> fr, fi;
+  const auto stats =
+      mri_fhd_gpu(dev, MriWorkload::generate(128, 32, 33), 64, base, fr, fi);
+  return {output_digest(fr, fi), stats};
 }
 
 }  // namespace g80::apps

@@ -58,8 +58,13 @@ struct MriFhdKernel {
 
 class MriFhdApp : public App {
  public:
+  // Fr, Fi.
+  MriFhdApp() : App("mri-fhd", {0, 1, 63}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -63,7 +63,39 @@ AppInfo MriQApp::info() const {
   };
 }
 
-AppResult MriQApp::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: voxel coordinates to global memory, k-space samples to
+// constant memory, one thread per voxel, read back Q.
+LaunchStats mri_q_gpu(Device& dev, const MriWorkload& w, unsigned block_x,
+                      const LaunchOptions& base, std::vector<float>& qr,
+                      std::vector<float>& qi) {
+  const int voxels = static_cast<int>(w.x.size());
+  auto dx = dev.alloc<float>(voxels);
+  auto dy = dev.alloc<float>(voxels);
+  auto dz = dev.alloc<float>(voxels);
+  dx.copy_from_host(w.x);
+  dy.copy_from_host(w.y);
+  dz.copy_from_host(w.z);
+  auto dk = dev.alloc_constant<Float4>(w.samples.size());
+  dk.copy_from_host(w.samples);
+  auto dqr = dev.alloc<float>(voxels);
+  auto dqi = dev.alloc<float>(voxels);
+
+  const Dim3 block(block_x);
+  const Dim3 grid(static_cast<unsigned>((voxels + block.x - 1) / block.x));
+  const auto stats =
+      launch(dev, grid, block, app_launch_options(base, 11, false),
+             MriQKernel{voxels, true}, dx, dy, dz, dk, dqr, dqi);
+  qr = dqr.copy_to_host();
+  qi = dqi.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult MriQApp::run(const DeviceSpec& spec, RunScale scale,
+                      const LaunchOptions& base) const {
   Device dev(spec);
   const int voxels = scale == RunScale::kQuick ? 1024 : 8192;
   const int samples = scale == RunScale::kQuick ? 128 : 1024;
@@ -81,28 +113,9 @@ AppResult MriQApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port ---
   dev.ledger().reset();
-  auto dx = dev.alloc<float>(voxels);
-  auto dy = dev.alloc<float>(voxels);
-  auto dz = dev.alloc<float>(voxels);
-  dx.copy_from_host(w.x);
-  dy.copy_from_host(w.y);
-  dz.copy_from_host(w.z);
-  auto dk = dev.alloc_constant<Float4>(w.samples.size());
-  dk.copy_from_host(w.samples);
-  auto dqr = dev.alloc<float>(voxels);
-  auto dqi = dev.alloc<float>(voxels);
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 11;
-  opt.uses_sync = false;
-  const Dim3 block(256);
-  const Dim3 grid(static_cast<unsigned>((voxels + 255) / 256));
-  const auto stats = launch(dev, grid, block, opt, MriQKernel{voxels, true},
-                            dx, dy, dz, dk, dqr, dqi);
-  const auto qr_gpu = dqr.copy_to_host();
-  const auto qi_gpu = dqi.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<float> qr_gpu, qi_gpu;
+  accumulate_launch(r, dev.spec(),
+                    mri_q_gpu(dev, w, 256, base, qr_gpu, qi_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // --- Validate ---
@@ -113,6 +126,14 @@ AppResult MriQApp::run(const DeviceSpec& spec, RunScale scale) const {
   }
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+CampaignRun MriQApp::launch_campaign(Device& dev,
+                                     const LaunchOptions& base) const {
+  std::vector<float> qr, qi;
+  const auto stats =
+      mri_q_gpu(dev, MriWorkload::generate(128, 32, 31), 64, base, qr, qi);
+  return {output_digest(qr, qi), stats};
 }
 
 }  // namespace g80::apps

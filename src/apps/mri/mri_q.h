@@ -99,8 +99,13 @@ struct MriQKernel {
 
 class MriQApp : public App {
  public:
+  // Qr, Qi.
+  MriQApp() : App("mri-q", {0, 1, 63}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -72,7 +72,49 @@ AppInfo PnsApp::info() const {
   };
 }
 
-AppResult PnsApp::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: upload the initial marking and the net's arc tables (global
+// and texture copies), one thread per replica, read back the final markings
+// and fire counts.
+LaunchStats pns_gpu(Device& dev, const PnsNet& net, int num_sims, int steps,
+                    unsigned block_x, const LaunchOptions& base,
+                    std::vector<std::int32_t>& marking,
+                    std::vector<std::int32_t>& fired) {
+  auto d_init = dev.alloc<std::int32_t>(net.initial_marking.size());
+  d_init.copy_from_host(net.initial_marking);
+  auto d_in_g = dev.alloc<std::int32_t>(net.in.size());
+  auto d_out_g = dev.alloc<std::int32_t>(net.out.size());
+  d_in_g.copy_from_host(net.in);
+  d_out_g.copy_from_host(net.out);
+  auto d_in_t = dev.alloc_texture<std::int32_t>(net.in.size());
+  auto d_out_t = dev.alloc_texture<std::int32_t>(net.out.size());
+  d_in_t.copy_from_host(net.in);
+  d_out_t.copy_from_host(net.out);
+  auto d_marking = dev.alloc<std::int32_t>(
+      static_cast<std::size_t>(kPnsPlaces) * num_sims);
+  auto d_fired = dev.alloc<std::int32_t>(num_sims);
+
+  PnsKernel kernel;
+  kernel.num_sims = num_sims;
+  kernel.steps = steps;
+  kernel.rng_seed = net.rng_seed;
+  kernel.table_space = PnsTableSpace::kTexture;
+
+  const Dim3 block(block_x);
+  const Dim3 grid(static_cast<unsigned>((num_sims + block.x - 1) / block.x));
+  const auto stats =
+      launch(dev, grid, block, app_launch_options(base, 24, false), kernel,
+             d_init, d_in_g, d_out_g, d_in_t, d_out_t, d_marking, d_fired);
+  marking = d_marking.copy_to_host();
+  fired = d_fired.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult PnsApp::run(const DeviceSpec& spec, RunScale scale,
+                     const LaunchOptions& base) const {
   Device dev(spec);
   const int num_sims = scale == RunScale::kQuick ? 2048 : 16384;
   const int steps = scale == RunScale::kQuick ? 64 : 256;
@@ -99,37 +141,9 @@ AppResult PnsApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port ---
   dev.ledger().reset();
-  auto d_init = dev.alloc<std::int32_t>(net.initial_marking.size());
-  d_init.copy_from_host(net.initial_marking);
-  auto d_in_g = dev.alloc<std::int32_t>(net.in.size());
-  auto d_out_g = dev.alloc<std::int32_t>(net.out.size());
-  d_in_g.copy_from_host(net.in);
-  d_out_g.copy_from_host(net.out);
-  auto d_in_t = dev.alloc_texture<std::int32_t>(net.in.size());
-  auto d_out_t = dev.alloc_texture<std::int32_t>(net.out.size());
-  d_in_t.copy_from_host(net.in);
-  d_out_t.copy_from_host(net.out);
-  auto d_marking = dev.alloc<std::int32_t>(
-      static_cast<std::size_t>(kPnsPlaces) * num_sims);
-  auto d_fired = dev.alloc<std::int32_t>(num_sims);
-
-  PnsKernel kernel;
-  kernel.num_sims = num_sims;
-  kernel.steps = steps;
-  kernel.rng_seed = net.rng_seed;
-  kernel.table_space = PnsTableSpace::kTexture;
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 24;
-  opt.uses_sync = false;
-  const Dim3 block(128);
-  const Dim3 grid(static_cast<unsigned>((num_sims + 127) / 128));
-  const auto stats = launch(dev, grid, block, opt, kernel, d_init, d_in_g,
-                            d_out_g, d_in_t, d_out_t, d_marking, d_fired);
-  const auto marking_gpu = d_marking.copy_to_host();
-  const auto fired_gpu = d_fired.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<std::int32_t> marking_gpu, fired_gpu;
+  accumulate_launch(r, dev.spec(), pns_gpu(dev, net, num_sims, steps, 128,
+                                           base, marking_gpu, fired_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // --- Validate: integer trajectories must match exactly ---
@@ -142,6 +156,14 @@ AppResult PnsApp::run(const DeviceSpec& spec, RunScale scale) const {
     if (marking_gpu[i] != marking_ref[i]) err = 1.0;
   finish_validation(r, err, 0.0);
   return r;
+}
+
+CampaignRun PnsApp::launch_campaign(Device& dev,
+                                    const LaunchOptions& base) const {
+  std::vector<std::int32_t> marking, fired;
+  const auto stats =
+      pns_gpu(dev, PnsNet::generate(4), 64, 32, 64, base, marking, fired);
+  return {output_digest(marking, fired), stats};
 }
 
 }  // namespace g80::apps

@@ -133,8 +133,13 @@ struct PnsKernel {
 
 class PnsApp : public App {
  public:
+  // The marking-slice init stores come first.
+  PnsApp() : App("pns", {0, 1, 63}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

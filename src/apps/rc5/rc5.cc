@@ -81,7 +81,38 @@ AppInfo Rc5App::info() const {
   };
 }
 
-AppResult Rc5App::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: four keys per thread, read back the found-key slot and the
+// per-key partial-match flags.
+LaunchStats rc5_gpu(Device& dev, const Rc5Workload& w, unsigned block_x,
+                    const LaunchOptions& base,
+                    std::vector<std::uint32_t>& found,
+                    std::vector<std::uint8_t>& partial) {
+  auto dfound = dev.alloc<std::uint32_t>(1);
+  dfound.fill(w.num_keys);
+  auto dpartial = dev.alloc<std::uint8_t>(w.num_keys);
+
+  Rc5Kernel kernel;
+  kernel.w = w;
+  kernel.keys_per_thread = 4;
+
+  // 42 registers: the 26-word schedule largely lives in registers.
+  const LaunchOptions opt = app_launch_options(base, 42, false);
+  const std::uint32_t threads_total =
+      (w.num_keys + kernel.keys_per_thread - 1) / kernel.keys_per_thread;
+  const Dim3 block(block_x);
+  const Dim3 grid((threads_total + block.x - 1) / block.x);
+  const auto stats = launch(dev, grid, block, opt, kernel, dfound, dpartial);
+  found = dfound.copy_to_host();
+  partial = dpartial.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult Rc5App::run(const DeviceSpec& spec, RunScale scale,
+                     const LaunchOptions& base) const {
   Device dev(spec);
   const std::uint32_t num_keys =
       scale == RunScale::kQuick ? (1u << 13) : (1u << 18);
@@ -98,27 +129,11 @@ AppResult Rc5App::run(const DeviceSpec& spec, RunScale scale) const {
   r.cpu_other_seconds = 0;
 
   dev.ledger().reset();
-  auto dfound = dev.alloc<std::uint32_t>(1);
-  dfound.fill(w.num_keys);
-  auto dpartial = dev.alloc<std::uint8_t>(w.num_keys);
-
-  Rc5Kernel kernel;
-  kernel.w = w;
-  kernel.keys_per_thread = 4;
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 42;  // the 26-word schedule largely lives in registers
-  opt.uses_sync = false;
-  const std::uint32_t threads_total =
-      (w.num_keys + kernel.keys_per_thread - 1) / kernel.keys_per_thread;
-  const Dim3 block(192);  // 42 regs x 192 thr: one block short of the file
-  const Dim3 grid((threads_total + block.x - 1) / block.x);
-  const auto stats = launch(dev, grid, block, opt, kernel, dfound, dpartial);
-
-  const auto found_gpu = dfound.copy_to_host();
-  const auto partial_gpu = dpartial.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  // 42 regs x 192 threads: one block short of the register file.
+  std::vector<std::uint32_t> found_gpu;
+  std::vector<std::uint8_t> partial_gpu;
+  accumulate_launch(r, dev.spec(),
+                    rc5_gpu(dev, w, 192, base, found_gpu, partial_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // Bit-exact integer results: demand equality.
@@ -128,6 +143,15 @@ AppResult Rc5App::run(const DeviceSpec& spec, RunScale scale) const {
     if (partial_gpu[k] != partial_ref[k]) err = 1.0;
   finish_validation(r, err, 0.0);
   return r;
+}
+
+CampaignRun Rc5App::launch_campaign(Device& dev,
+                                    const LaunchOptions& base) const {
+  std::vector<std::uint32_t> found;
+  std::vector<std::uint8_t> partial;
+  const auto stats =
+      rc5_gpu(dev, Rc5Workload::generate(256, 9), 64, base, found, partial);
+  return {output_digest(found, partial), stats};
 }
 
 }  // namespace g80::apps

@@ -122,8 +122,13 @@ struct Rc5Kernel {
 
 class Rc5App : public App {
  public:
+  // Per-key partial-match flag stores.
+  Rc5App() : App("rc5", {0, 1, 63}, 2) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -86,20 +86,14 @@ AppInfo RpesApp::info() const {
   };
 }
 
-AppResult RpesApp::run(const DeviceSpec& spec, RunScale scale) const {
-  Device dev(spec);
-  const int pairs = scale == RunScale::kQuick ? 96 : 320;
-  const auto w = RpesWorkload::generate(pairs, /*seed=*/81);
+namespace {
 
-  AppResult r;
-  r.info = info();
-
-  std::vector<float> ref;
-  const double host_secs = measure_seconds([&] { rpes_cpu(w, ref); });
-  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
-  r.cpu_other_seconds = 0;
-
-  dev.ledger().reset();
+// The GPU port: pair data to global memory, quadrature and contraction
+// tables to constant memory, one thread per integral in 16x16 tiles, read
+// back the integrals.
+LaunchStats rpes_gpu(Device& dev, const RpesWorkload& w,
+                     const LaunchOptions& base, std::vector<float>& out) {
+  const int pairs = w.n();
   auto d_px = dev.alloc<float>(w.px.size());
   auto d_py = dev.alloc<float>(w.py.size());
   auto d_pz = dev.alloc<float>(w.pz.size());
@@ -116,17 +110,36 @@ AppResult RpesApp::run(const DeviceSpec& spec, RunScale scale) const {
   d_contr.copy_from_host(w.contraction);
   auto d_out = dev.alloc<float>(static_cast<std::size_t>(pairs) * pairs);
 
-  LaunchOptions opt;
-  opt.regs_per_thread = 16;
-  opt.uses_sync = false;
   const Dim3 block(16, 16);
   const Dim3 grid(static_cast<unsigned>(pairs / 16),
                   static_cast<unsigned>(pairs / 16));
-  const auto stats = launch(dev, grid, block, opt, RpesKernel{pairs}, d_px,
-                            d_py, d_pz, d_eta, d_coef, d_quad, d_contr, d_out);
-  const auto out_gpu = d_out.copy_to_host();
+  const auto stats = launch(dev, grid, block,
+                            app_launch_options(base, 16, false),
+                            RpesKernel{pairs}, d_px, d_py, d_pz, d_eta, d_coef,
+                            d_quad, d_contr, d_out);
+  out = d_out.copy_to_host();
+  return stats;
+}
 
-  accumulate_launch(r, dev.spec(), stats);
+}  // namespace
+
+AppResult RpesApp::run(const DeviceSpec& spec, RunScale scale,
+                      const LaunchOptions& base) const {
+  Device dev(spec);
+  const int pairs = scale == RunScale::kQuick ? 96 : 320;
+  const auto w = RpesWorkload::generate(pairs, /*seed=*/81);
+
+  AppResult r;
+  r.info = info();
+
+  std::vector<float> ref;
+  const double host_secs = measure_seconds([&] { rpes_cpu(w, ref); });
+  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
+  r.cpu_other_seconds = 0;
+
+  dev.ledger().reset();
+  std::vector<float> out_gpu;
+  accumulate_launch(r, dev.spec(), rpes_gpu(dev, w, base, out_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   double err = 0;
@@ -134,6 +147,14 @@ AppResult RpesApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(out_gpu[i], ref[i], 1e-3));
   finish_validation(r, err, 1e-4);
   return r;
+}
+
+CampaignRun RpesApp::launch_campaign(Device& dev,
+                                     const LaunchOptions& base) const {
+  std::vector<float> out;
+  const auto stats =
+      rpes_gpu(dev, RpesWorkload::generate(32, 21), base, out);
+  return {output_digest(out), stats};
 }
 
 }  // namespace g80::apps

@@ -106,8 +106,12 @@ struct RpesKernel {
 
 class RpesApp : public App {
  public:
+  RpesApp() : App("rpes", {0, 1, 33}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

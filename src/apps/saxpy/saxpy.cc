@@ -36,7 +36,31 @@ AppInfo SaxpyApp::info() const {
   };
 }
 
-AppResult SaxpyApp::run(const DeviceSpec& spec, RunScale scale) const {
+namespace {
+
+// The GPU port: upload x and y, one launch, read back `out`.
+LaunchStats saxpy_gpu(Device& dev, const SaxpyWorkload& w, unsigned block_x,
+                      const LaunchOptions& base, std::vector<float>& out) {
+  const std::size_t n = w.x.size();
+  auto dx = dev.alloc<float>(n);
+  auto dy = dev.alloc<float>(n);
+  auto dout = dev.alloc<float>(n);
+  dx.copy_from_host(w.x);
+  dy.copy_from_host(w.y);
+
+  const Dim3 block(block_x);
+  const Dim3 grid(static_cast<unsigned>((n + block.x - 1) / block.x));
+  const auto stats =
+      launch(dev, grid, block, app_launch_options(base, 5, false),
+             SaxpyKernel{w.a, static_cast<int>(n)}, dx, dy, dout);
+  out = dout.copy_to_host();
+  return stats;
+}
+
+}  // namespace
+
+AppResult SaxpyApp::run(const DeviceSpec& spec, RunScale scale,
+                        const LaunchOptions& base) const {
   Device dev(spec);
   const std::size_t n = scale == RunScale::kQuick ? (1u << 13) : (1u << 22);
   const auto w = SaxpyWorkload::generate(n, /*seed=*/42);
@@ -53,22 +77,8 @@ AppResult SaxpyApp::run(const DeviceSpec& spec, RunScale scale) const {
 
   // --- GPU port ---
   dev.ledger().reset();
-  auto dx = dev.alloc<float>(n);
-  auto dy = dev.alloc<float>(n);
-  auto dout = dev.alloc<float>(n);
-  dx.copy_from_host(w.x);
-  dy.copy_from_host(w.y);
-
-  LaunchOptions opt;
-  opt.regs_per_thread = 5;
-  opt.uses_sync = false;
-  const Dim3 block(256);
-  const Dim3 grid(static_cast<unsigned>((n + block.x - 1) / block.x));
-  const auto stats = launch(dev, grid, block, opt,
-                            SaxpyKernel{w.a, static_cast<int>(n)}, dx, dy, dout);
-  const auto y_gpu = dout.copy_to_host();
-
-  accumulate_launch(r, dev.spec(), stats);
+  std::vector<float> y_gpu;
+  accumulate_launch(r, dev.spec(), saxpy_gpu(dev, w, 256, base, y_gpu));
   r.transfer_seconds = dev.ledger().seconds(dev.spec());
 
   // --- Validate ---
@@ -77,6 +87,14 @@ AppResult SaxpyApp::run(const DeviceSpec& spec, RunScale scale) const {
     err = std::max(err, rel_err(y_gpu[i], y_ref[i]));
   finish_validation(r, err, 1e-6);
   return r;
+}
+
+CampaignRun SaxpyApp::launch_campaign(Device& dev,
+                                      const LaunchOptions& base) const {
+  std::vector<float> out;
+  const auto stats =
+      saxpy_gpu(dev, SaxpyWorkload::generate(256, 11), 64, base, out);
+  return {output_digest(out), stats};
 }
 
 }  // namespace g80::apps

@@ -43,8 +43,12 @@ struct SaxpyKernel {
 
 class SaxpyApp : public App {
  public:
+  SaxpyApp() : App("saxpy", {0, 1, 63}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

@@ -80,20 +80,14 @@ AppInfo TpacfApp::info() const {
   };
 }
 
-AppResult TpacfApp::run(const DeviceSpec& spec, RunScale scale) const {
-  Device dev(spec);
-  const int points = scale == RunScale::kQuick ? 512 : 4096;
-  const auto w = TpacfWorkload::generate(points, /*seed=*/31);
+namespace {
 
-  AppResult r;
-  r.info = info();
-
-  std::array<std::uint64_t, kTpacfBins> hist_ref{};
-  const double host_secs = measure_seconds([&] { tpacf_cpu(w, hist_ref); });
-  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
-  r.cpu_other_seconds = 0;
-
-  dev.ledger().reset();
+// The GPU port: upload the points and bin edges, one launch, read back one
+// partial histogram per block.
+LaunchStats tpacf_gpu(Device& dev, const TpacfWorkload& w,
+                      const LaunchOptions& base,
+                      std::vector<unsigned>& partials) {
+  const int points = static_cast<int>(w.x.size());
   auto dx = dev.alloc<float>(points);
   auto dy = dev.alloc<float>(points);
   auto dz = dev.alloc<float>(points);
@@ -107,20 +101,39 @@ AppResult TpacfApp::run(const DeviceSpec& spec, RunScale scale) const {
       (points + kTpacfBlockThreads - 1) / kTpacfBlockThreads;
   auto dhist = dev.alloc<unsigned>(static_cast<std::size_t>(num_blocks) *
                                    kTpacfBins);
+  const auto stats = launch(
+      dev, Dim3(num_blocks), Dim3(kTpacfBlockThreads),
+      app_launch_options(base, 14, true),
+      TpacfKernel{points, TpacfHistLayout::kBinMajor}, dx, dy, dz, de, dhist);
+  partials = dhist.copy_to_host();
+  return stats;
+}
 
-  LaunchOptions opt;
-  opt.regs_per_thread = 14;
-  const auto stats = launch(dev, Dim3(num_blocks), Dim3(kTpacfBlockThreads),
-                            opt, TpacfKernel{points}, dx, dy, dz, de, dhist);
-  const auto partials = dhist.copy_to_host();
+}  // namespace
+
+AppResult TpacfApp::run(const DeviceSpec& spec, RunScale scale,
+                        const LaunchOptions& base) const {
+  Device dev(spec);
+  const int points = scale == RunScale::kQuick ? 512 : 4096;
+  const auto w = TpacfWorkload::generate(points, /*seed=*/31);
+
+  AppResult r;
+  r.info = info();
+
+  std::array<std::uint64_t, kTpacfBins> hist_ref{};
+  const double host_secs = measure_seconds([&] { tpacf_cpu(w, hist_ref); });
+  r.cpu_kernel_seconds = to_opteron_seconds(host_secs);
+  r.cpu_other_seconds = 0;
+
+  dev.ledger().reset();
+  std::vector<unsigned> partials;
+  const auto stats = tpacf_gpu(dev, w, base, partials);
 
   // Host-side merge of per-block partial histograms (the serial tail).
   Timer merge_timer;
   std::array<std::uint64_t, kTpacfBins> hist_gpu{};
-  for (unsigned b = 0; b < num_blocks; ++b)
-    for (int k = 0; k < kTpacfBins; ++k)
-      hist_gpu[static_cast<std::size_t>(k)] +=
-          partials[static_cast<std::size_t>(b) * kTpacfBins + k];
+  for (std::size_t i = 0; i < partials.size(); ++i)
+    hist_gpu[i % kTpacfBins] += partials[i];
   r.cpu_other_seconds = to_opteron_seconds(merge_timer.seconds());
 
   accumulate_launch(r, dev.spec(), stats);
@@ -135,6 +148,14 @@ AppResult TpacfApp::run(const DeviceSpec& spec, RunScale scale) const {
   }
   finish_validation(r, err, 0.0);
   return r;
+}
+
+CampaignRun TpacfApp::launch_campaign(Device& dev,
+                                      const LaunchOptions& base) const {
+  std::vector<unsigned> partials;
+  const auto stats =
+      tpacf_gpu(dev, TpacfWorkload::generate(128, 17), base, partials);
+  return {output_digest(partials), stats};
 }
 
 }  // namespace g80::apps

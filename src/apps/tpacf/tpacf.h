@@ -162,8 +162,13 @@ struct TpacfKernel {
 
 class TpacfApp : public App {
  public:
+  // Global output is written only by the reduction threads (tid < kTpacfBins).
+  TpacfApp() : App("tpacf", {0, kTpacfBins - 1}) {}
   AppInfo info() const override;
-  AppResult run(const DeviceSpec& spec, RunScale scale) const override;
+  AppResult run(const DeviceSpec& spec, RunScale scale,
+                const LaunchOptions& base = {}) const override;
+  CampaignRun launch_campaign(Device& dev,
+                              const LaunchOptions& base) const override;
 };
 
 }  // namespace g80::apps

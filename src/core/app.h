@@ -6,14 +6,21 @@
 // harness to compute the paper's per-application metrics: kernel fraction of
 // CPU time (Table 2), resource usage / memory ratio / bottleneck (Table 3),
 // and kernel & application speedups.
+//
+// An App is also the suite's one kernel registry: it carries the small
+// instance the g80resil fault campaign launches, through the same GPU code
+// as the Table 2/3 run, so a new app is covered by the campaign and the
+// whole-suite tests by being added to apps::make_suite().
 #pragma once
 
 #include <cmath>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/content_hash.h"
 #include "cudalite/launch.h"
 
 namespace g80 {
@@ -82,16 +89,58 @@ struct AppResult {
   }
 };
 
+// One launch of an application's fault-campaign instance: a problem small
+// enough for the campaign's sequential sanitize pass (resil/campaign.h).
+struct CampaignRun {
+  std::uint64_t digest = 0;  // FNV-1a over the kernel's global outputs
+  LaunchStats stats;
+};
+
 class App {
  public:
+  App(std::string key, std::vector<int> global_tids,
+      int global_stores_per_thread = 1)
+      : key(std::move(key)),
+        global_tids(std::move(global_tids)),
+        global_stores_per_thread(global_stores_per_thread) {}
   virtual ~App() = default;
+
+  // Stable short name; the fault campaign reports under it.
+  const std::string key;
+  // The campaign instance's global-store fault points: threads guaranteed to
+  // perform at least `global_stores_per_thread` global stores in every block
+  // (e.g. H.264 writes global output from thread 0 of each block only).
+  const std::vector<int> global_tids;
+  const int global_stores_per_thread;
+
   virtual AppInfo info() const = 0;
   // Runs CPU baseline + GPU port, validates outputs against each other, and
   // fills in the metrics.  Throws g80::Error on simulator misuse.
   // Each run constructs its own Device from `spec` (fresh address space,
-  // constant-memory budget, and transfer ledger).
-  virtual AppResult run(const DeviceSpec& spec, RunScale scale) const = 0;
+  // constant-memory budget, and transfer ledger).  Every launch uses `base`
+  // with the app's own registers and uses_sync folded in, so a caller picks
+  // the pool, fast path or fiber engine for the whole app.
+  virtual AppResult run(const DeviceSpec& spec, RunScale scale,
+                        const LaunchOptions& base = {}) const = 0;
+  // Launches the campaign instance once on `dev`, through the same
+  // alloc/upload/launch/read-back code as run(), with `base` folded in the
+  // same way.  Allocates fresh buffers, so it works on a freshly reset
+  // device.
+  virtual CampaignRun launch_campaign(Device& dev,
+                                      const LaunchOptions& base) const = 0;
 };
+
+// `base` with an app kernel's own register count and uses_sync.
+LaunchOptions app_launch_options(LaunchOptions base, int regs_per_thread,
+                                 bool uses_sync);
+
+// FNV-1a digest of output vectors read back from the device.
+template <class... Vecs>
+std::uint64_t output_digest(const Vecs&... outs) {
+  ContentHasher h;
+  (h.raw(outs.data(), outs.size() * sizeof(*outs.data())), ...);
+  return h.digest();
+}
 
 // Helper used by every app: fold one launch into the result totals.
 void accumulate_launch(AppResult& r, const DeviceSpec& spec,

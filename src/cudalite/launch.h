@@ -121,7 +121,8 @@ struct LaunchOptions {
   // g80resil modeled watchdog is armed (resilience.modeled_timeout_s > 0) a
   // minimal 1-block trace sample is retained so the watchdog still sees a
   // modeled time.  Auto-selected by g80resil at fallback level >= 2 and by
-  // g80serve for jobs requesting sample_blocks == 0.
+  // g80serve for jobs requesting sample_blocks == 0; whole applications take
+  // it through App::run's `base` options.
   bool fast_path = false;
   // Fiber stack size for kernel threads.
   std::size_t stack_bytes = 128 * 1024;
@@ -139,58 +140,18 @@ struct LaunchOptions {
   // g80scope: opt-in per-launch time-series derivation into a scope session.
   ScopeOptions scope;
   // g80rt block scheduling: run the trace and functional passes' independent
-  // blocks across this pool's workers.  nullptr falls back to the ambient
-  // pool (set_ambient_launch_pool / ScopedLaunchPool), and with neither the
-  // sequential path runs.  Kernel outputs and LaunchStats are bit-identical
-  // either way: each worker slot owns a private BlockRunner (fibers +
-  // shared-memory arena) and per-block traces merge in sample order.  The
-  // g80check pass stays sequential — its shadow state is grid-global.
+  // blocks across this pool's workers; nullptr runs the sequential path.
+  // g80rt streams default it to the runtime's pool; whole applications take
+  // it through App::run's `base` options.  Kernel outputs and LaunchStats
+  // are bit-identical either way: each worker slot owns a private
+  // BlockRunner (fibers + shared-memory arena) and per-block traces merge in
+  // sample order.  The g80check pass stays sequential — its shadow state is
+  // grid-global.
   WorkerPool* pool = nullptr;
   // g80resil: opt-in watchdog timeouts, retry-with-backoff recovery, and
   // graceful degradation (see resil/policy.h and docs/error-handling.md).
   // Disabled launches execute exactly the pre-resil path.
   ResiliencePolicy resilience;
-};
-
-// Ambient default worker pool, consulted when LaunchOptions::pool is null.
-// Lets whole-application layers (the §5 suite, benches) go block-parallel
-// without threading a pool through every launch call.  Thread-local, so
-// concurrent g80rt streams can opt in independently.
-WorkerPool* ambient_launch_pool();
-void set_ambient_launch_pool(WorkerPool* pool);
-
-class ScopedLaunchPool {
- public:
-  explicit ScopedLaunchPool(WorkerPool* pool) : prev_(ambient_launch_pool()) {
-    set_ambient_launch_pool(pool);
-  }
-  ~ScopedLaunchPool() { set_ambient_launch_pool(prev_); }
-  ScopedLaunchPool(const ScopedLaunchPool&) = delete;
-  ScopedLaunchPool& operator=(const ScopedLaunchPool&) = delete;
-
- private:
-  WorkerPool* prev_;
-};
-
-// Ambient fast-path default, consulted in addition to
-// LaunchOptions::fast_path (either one opts the launch in; observers still
-// override — see the field's comment).  Lets a whole workload (the §5
-// suite, a bench sweep) run result-only without threading options through
-// every launch call.  Thread-local, like the ambient pool.
-bool ambient_fast_path();
-void set_ambient_fast_path(bool on);
-
-class ScopedFastPath {
- public:
-  explicit ScopedFastPath(bool on = true) : prev_(ambient_fast_path()) {
-    set_ambient_fast_path(on);
-  }
-  ~ScopedFastPath() { set_ambient_fast_path(prev_); }
-  ScopedFastPath(const ScopedFastPath&) = delete;
-  ScopedFastPath& operator=(const ScopedFastPath&) = delete;
-
- private:
-  bool prev_;
 };
 
 struct LaunchStats {
@@ -354,14 +315,10 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
                   std::to_string(spec.registers_per_sm));
   }
 
-  // Block scheduling: explicit pool, else the ambient one (g80rt), else the
-  // sequential seed path.  Slot 0 always runs on this thread.  Fallback
-  // level >= 1 forces the sequential path outright (including past the
-  // ambient pool — falling back *means* not trusting the pool).
-  WorkerPool* pool =
-      att.fallback_level >= 1
-          ? nullptr
-          : (opt.pool != nullptr ? opt.pool : ambient_launch_pool());
+  // Block scheduling: the caller's pool, else the sequential seed path.
+  // Slot 0 always runs on this thread.  Fallback level >= 1 forces the
+  // sequential path outright (falling back *means* not trusting the pool).
+  WorkerPool* pool = att.fallback_level >= 1 ? nullptr : opt.pool;
   const bool sanitize_enabled =
       att.fallback_level < 2 && opt.sanitize.enabled;
   // Functional fast path: requested by the caller or escalated to by the
@@ -370,9 +327,7 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
   // path rather than recording empty counters.
   const bool observed = opt.sanitize.enabled || opt.prof.sink != nullptr ||
                         opt.scope.sink != nullptr;
-  const bool fast = (opt.fast_path || ambient_fast_path() ||
-                     att.fallback_level >= 2) &&
-                    !observed;
+  const bool fast = (opt.fast_path || att.fallback_level >= 2) && !observed;
   // Under the fast path, trace only what the modeled watchdog requires: one
   // sample block when it is armed, none otherwise.
   const bool modeled_watchdog =

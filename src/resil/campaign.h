@@ -3,7 +3,7 @@
 // A fault campaign answers the question the unit tests cannot: does the
 // detect -> reset -> relaunch recovery story hold for *every* application in
 // the paper's §5 suite, at every fault point we can inject?  For each
-// application target the engine sweeps fault kind x thread x dynamic index
+// application the engine sweeps fault kind x thread x dynamic index
 // x block over the g80check deterministic fault injectors and asserts the
 // full recovery contract per case:
 //
@@ -12,63 +12,30 @@
 //   recover    Device::reset() returns the device to a clean state (status
 //              kSuccess, zero bytes allocated);
 //   identical  a from-scratch relaunch on the reset device reproduces the
-//              pre-fault output digest bit-for-bit.
+//              application's clean output digest bit-for-bit.
 //
 // The global-store corruption fault (FaultInjection::corrupt_global_*) is
-// applicable to all 13 applications — every kernel writes global output —
-// while barrier-skip and shared-store corruption apply only to targets whose
-// kernels use __syncthreads / __shared__.
+// applicable to all 13 applications — every kernel writes global output.
+// Barrier-skip and shared-store corruption apply only to applications whose
+// clean launch executes __syncthreads / __shared__ stores, read from that
+// launch's trace rather than declared per application.
+//
+// The applications are apps::make_suite(): each App carries its campaign
+// instance (App::launch_campaign) and global-store fault points, so a new
+// suite app is swept without a change here.
 //
 // This header sits *above* the app layer (it needs whole-kernel launches),
 // so it lives in its own CMake target (g80_campaign), keeping g80_resil
 // itself below cudalite.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
-#include "cudalite/device.h"
-#include "sanitizer/sanitizer.h"
 
 namespace g80::resil {
-
-// FNV-1a, the digest used for the bit-identical-relaunch assertion.
-inline std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                           std::uint64_t h = 14695981039346656037ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <class T>
-std::uint64_t fnv1a_vec(const std::vector<T>& v,
-                        std::uint64_t h = 14695981039346656037ull) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return v.empty() ? h : fnv1a(v.data(), v.size() * sizeof(T), h);
-}
-
-// One application target.  `run` allocates fresh device buffers (so it works
-// on a freshly reset device), launches the app's kernel once with the given
-// sanitize options folded into its LaunchOptions, and returns an FNV digest
-// of the kernel's global outputs.
-struct CampaignTarget {
-  std::string name;
-  std::function<std::uint64_t(Device&, const SanitizerOptions&)> run;
-  bool has_barrier = false;       // kernel calls __syncthreads
-  bool has_shared_store = false;  // kernel writes __shared__
-  // Threads guaranteed to perform at least `global_stores_per_thread`
-  // global stores in every block (the sweep's thread dimension; e.g. H.264
-  // only writes global output from thread 0 of each block).
-  std::vector<int> global_tids = {0};
-  int global_stores_per_thread = 1;
-};
 
 enum class FaultKind {
   kCorruptGlobalStore,  // OOB global store -> kInvalidAddress (all apps)
@@ -79,7 +46,7 @@ enum class FaultKind {
 const char* fault_kind_name(FaultKind k);
 
 struct CaseResult {
-  std::string target;
+  std::string target;  // App::key
   FaultKind kind = FaultKind::kCorruptGlobalStore;
   int tid = 0;
   int index = 0;            // dynamic store / barrier index
@@ -94,7 +61,8 @@ struct CaseResult {
 
 struct CampaignConfig {
   // Smoke mode restricts the sweep to one point per applicable fault kind
-  // per target (tid/index/block all 0) — the tier-1 / script-smoke setting.
+  // per application (tid/index/block all 0) — the tier-1 / script-smoke
+  // setting.
   bool smoke = false;
 };
 
@@ -110,11 +78,7 @@ struct CampaignReport {
   std::string summary() const;
 };
 
-// The 13-application target table (small problem instances; the sanitize
-// pass runs the full grid sequentially, so campaign inputs stay tiny).
-std::vector<CampaignTarget> default_targets();
-
-CampaignReport run_campaign(const std::vector<CampaignTarget>& targets,
-                            const CampaignConfig& cfg = {});
+// Sweeps every application of apps::make_suite().
+CampaignReport run_campaign(const CampaignConfig& cfg = {});
 
 }  // namespace g80::resil

@@ -225,29 +225,6 @@ TEST(LaunchFastPath, BitIdenticalOutputsAndEmptyStats) {
   }
 }
 
-TEST(LaunchFastPath, AmbientFastPathEquivalentToOption) {
-  const int n = 32, tile = 16;
-  const auto wl = apps::MatmulWorkload::generate(n, 11);
-  MatmulSetup direct(wl, n, tile);
-  LaunchOptions dopt;
-  dopt.fast_path = true;
-  const LaunchStats ds = direct.go(dopt);
-  const auto ref = direct.c.copy_to_host();
-
-  MatmulSetup ambient(wl, n, tile);
-  LaunchStats as;
-  {
-    ScopedFastPath scoped;
-    as = ambient.go(LaunchOptions{});
-  }
-  const auto out = ambient.c.copy_to_host();
-  EXPECT_EQ(std::memcmp(out.data(), ref.data(), ref.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(as.trace.num_blocks, ds.trace.num_blocks);
-  EXPECT_EQ(as.timing.seconds, 0.0);
-  EXPECT_FALSE(ambient_fast_path()) << "scope must restore the previous value";
-}
-
 TEST(LaunchFastPath, RejectedWhileObserversAttached) {
   const int n = 32, tile = 16;
   const auto wl = apps::MatmulWorkload::generate(n, 3);
@@ -313,18 +290,18 @@ TEST(LaunchFastPath, SuiteOutputsUnchangedUnderFastPathAndPool) {
   for (const auto& app : apps::make_suite()) {
     const std::string name = app->info().name;
     const AppResult seq = app->run(spec, RunScale::kQuick);
-    AppResult fast;
-    {
-      ScopedLaunchPool scoped_pool(&pool);
-      ScopedFastPath scoped_fast;
-      fast = app->run(spec, RunScale::kQuick);
-    }
+    LaunchOptions base;
+    base.pool = &pool;
+    base.fast_path = true;
+    const AppResult fast = app->run(spec, RunScale::kQuick, base);
     // max_rel_err is computed from the GPU outputs against the CPU
     // reference; exact equality means the fast path reproduced every output
     // bit of every launch the app made.
     EXPECT_EQ(seq.validated, fast.validated) << name;
     EXPECT_EQ(seq.max_rel_err, fast.max_rel_err) << name;
     EXPECT_EQ(seq.launches, fast.launches) << name;
+    // `base` reached the launches: fast-path stats carry no modeled time.
+    EXPECT_EQ(fast.representative.timing.seconds, 0.0) << name;
   }
 }
 

@@ -8,9 +8,8 @@
 //   G80_FUZZ_SEED    RNG seed (default 12345)
 //
 // Properties checked on every random configuration:
-//   1. block scheduling never changes results: sequential, pooled, and
-//      ambient-pool launches produce bit-identical outputs and identical
-//      modeled timing;
+//   1. block scheduling never changes results: sequential and pooled
+//      launches produce bit-identical outputs and identical modeled timing;
 //   2. the g80check sanitize pass is sound on clean kernels (no findings)
 //      and side-effect-free (outputs identical with it on or off);
 //   3. an enabled-but-untriggered resilience policy is a no-op: same
@@ -174,11 +173,7 @@ TEST(InvariantFuzz, BlockSchedulingNeverChangesResults) {
     pooled.pool = &pool;
     const auto [pool_out, pool_stats] = run_config(c, input, pooled);
 
-    ScopedLaunchPool ambient(&pool);
-    const auto [amb_out, amb_stats] = run_config(c, input, base_options(c));
-
     EXPECT_EQ(seq_out, pool_out) << c.str();
-    EXPECT_EQ(seq_out, amb_out) << c.str();
     EXPECT_DOUBLE_EQ(seq_stats.timing.seconds, pool_stats.timing.seconds)
         << c.str();
     EXPECT_DOUBLE_EQ(seq_stats.trace.total.lane_flops,

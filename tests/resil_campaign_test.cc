@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "apps/suite.h"
 #include "resil/campaign.h"
 
 namespace g80::resil {
@@ -24,19 +25,20 @@ class CampaignSmoke : public ::testing::Test {
     static const CampaignReport r = [] {
       CampaignConfig cfg;
       cfg.smoke = true;
-      return run_campaign(default_targets(), cfg);
+      return run_campaign(cfg);
     }();
     return r;
   }
 };
 
 TEST_F(CampaignSmoke, CoversAllThirteenApplications) {
-  const auto targets = default_targets();
-  EXPECT_EQ(targets.size(), 13u);
+  const auto suite = apps::make_suite();
+  EXPECT_EQ(suite.size(), 13u);
   std::set<std::string> seen;
   for (const auto& c : report().cases) seen.insert(c.target);
-  for (const auto& t : targets) {
-    EXPECT_TRUE(seen.count(t.name)) << "no campaign case ran for " << t.name;
+  for (const auto& app : suite) {
+    EXPECT_TRUE(seen.count(app->key)) << "no campaign case ran for "
+                                      << app->key;
   }
 }
 
@@ -76,21 +78,20 @@ TEST_F(CampaignSmoke, DetectedStatusesMatchTheInjectedFaultKind) {
   }
 }
 
-TEST_F(CampaignSmoke, BarrierFaultsOnlyRunOnBarrierTargets) {
-  const auto targets = default_targets();
+// The barrier and shared-store fault surfaces are derived from each
+// application's clean launch; they must be exactly the kernels that call
+// ctx.sync() and write shared<> memory.
+TEST_F(CampaignSmoke, DerivedFaultSurfaceIsTheBarrierAndSharedMemoryKernels) {
   std::set<std::string> barrier_targets, shared_targets;
-  for (const auto& t : targets) {
-    if (t.has_barrier) barrier_targets.insert(t.name);
-    if (t.has_shared_store) shared_targets.insert(t.name);
-  }
   for (const auto& c : report().cases) {
-    if (c.kind == FaultKind::kSkipBarrier) {
-      EXPECT_TRUE(barrier_targets.count(c.target)) << c.target;
-    }
-    if (c.kind == FaultKind::kCorruptSharedStore) {
-      EXPECT_TRUE(shared_targets.count(c.target)) << c.target;
-    }
+    if (c.kind == FaultKind::kSkipBarrier) barrier_targets.insert(c.target);
+    if (c.kind == FaultKind::kCorruptSharedStore)
+      shared_targets.insert(c.target);
   }
+  const std::set<std::string> expected = {"matmul-tiled", "tpacf", "h264",
+                                          "lbm"};
+  EXPECT_EQ(barrier_targets, expected);
+  EXPECT_EQ(shared_targets, expected);
 }
 
 }  // namespace

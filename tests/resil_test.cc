@@ -417,30 +417,5 @@ TEST(ResilStream, DeviceResetDrainsStreamsAndClearsTheirErrors) {
   for (int i = 0; i < 64; ++i) ASSERT_EQ(host[i], i * 7 + 1);
 }
 
-// ---- ScopedLaunchPool exception safety (satellite) ---------------------------
-
-TEST(ResilStream, ScopedLaunchPoolRestoredWhenLaunchThrows) {
-  WorkerPool* const prev = ambient_launch_pool();
-  WorkerPool pool(2);
-  {
-    ScopedLaunchPool scoped(&pool);
-    EXPECT_EQ(ambient_launch_pool(), &pool);
-    Device dev;
-    auto out = dev.alloc<int>(64);
-    LaunchOptions opt;
-    opt.uses_sync = false;
-    EXPECT_THROW(launch(dev, Dim3(1), Dim3(64), opt, ThrowingKernel{}, out),
-                 StatusError);
-    // The throw unwound launch() but not the scope: still our pool.
-    EXPECT_EQ(ambient_launch_pool(), &pool);
-    {
-      ScopedLaunchPool inner(nullptr);
-      EXPECT_EQ(ambient_launch_pool(), nullptr);
-    }
-    EXPECT_EQ(ambient_launch_pool(), &pool);
-  }
-  EXPECT_EQ(ambient_launch_pool(), prev);
-}
-
 }  // namespace
 }  // namespace g80

@@ -184,19 +184,17 @@ TEST(ParallelLaunch, LowestBlockErrorWinsDeterministically) {
   }
 }
 
-// ---- Whole-suite bit-exactness under the ambient pool -------------------------
+// ---- Whole-suite bit-exactness under a pool --------------------------------
 
-TEST(ParallelLaunch, SuiteBitExactUnderAmbientPool) {
+TEST(ParallelLaunch, SuiteBitExactUnderPool) {
   const DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
   WorkerPool pool(4);
+  LaunchOptions pooled;
+  pooled.pool = &pool;
   for (const auto& app : apps::make_suite()) {
     const std::string name = app->info().name;
     const AppResult seq = app->run(spec, RunScale::kQuick);
-    AppResult par;
-    {
-      ScopedLaunchPool scoped(&pool);
-      par = app->run(spec, RunScale::kQuick);
-    }
+    const AppResult par = app->run(spec, RunScale::kQuick, pooled);
     // Wall-clock fields (cpu_*_seconds) vary run to run; everything derived
     // from simulated execution must not.
     EXPECT_EQ(seq.validated, par.validated) << name;
@@ -205,6 +203,38 @@ TEST(ParallelLaunch, SuiteBitExactUnderAmbientPool) {
     EXPECT_EQ(seq.gpu_kernel_seconds, par.gpu_kernel_seconds) << name;
     EXPECT_EQ(seq.transfer_seconds, par.transfer_seconds) << name;
     expect_stats_identical(seq.representative, par.representative);
+  }
+}
+
+// ---- Every app's fault-campaign instance -----------------------------------
+
+// The campaign instances are shapes the quick-scale suite does not launch:
+// one- and two-block grids, 16- and 64-thread blocks, a lone FDTD H update,
+// a one-step 16-wide LBM lattice.
+TEST(ParallelLaunch, CampaignInstancesBitExactAcrossSchedulersAndFiberEngines) {
+  WorkerPool pool(4);
+  std::vector<Fiber::Backend> backends{Fiber::Backend::kUcontext};
+  if (Fiber::fast_backend_supported())
+    backends.push_back(Fiber::Backend::kFast);
+  for (const auto& app : apps::make_suite()) {
+    SCOPED_TRACE(app->key);
+    Device seq_dev;
+    const CampaignRun seq = app->launch_campaign(seq_dev, LaunchOptions{});
+    for (WorkerPool* p : {static_cast<WorkerPool*>(nullptr), &pool}) {
+      for (Fiber::Backend backend : backends) {
+        LaunchOptions opt;
+        opt.pool = p;
+        opt.fiber_backend = backend;
+        Device dev;
+        const CampaignRun run = app->launch_campaign(dev, opt);
+        EXPECT_EQ(run.digest, seq.digest);
+        expect_stats_identical(run.stats, seq.stats);
+      }
+    }
+    LaunchOptions fast;
+    fast.fast_path = true;
+    Device fast_dev;
+    EXPECT_EQ(app->launch_campaign(fast_dev, fast).digest, seq.digest);
   }
 }
 
