@@ -151,19 +151,17 @@ BENCHMARK(BM_FunctionalLaunch)->Arg(16)->Arg(256);
 void BM_RecorderManySites(benchmark::State& state) {
   const int sites = static_cast<int>(state.range(0));
   constexpr int kAccesses = 4096;
-  LaneTrace lane;
   TraceArena arena;
   const std::source_location loc = std::source_location::current();
   for (auto _ : state) {
-    lane.clear();
     arena.begin_block(kSpec, 32);
-    LaneRecorder rec(&lane, &arena, 0);
+    LaneRecorder rec(&arena, 0);
     for (int i = 0; i < kAccesses; ++i) {
       const auto site = static_cast<std::uint32_t>(i % sites) + 1;
       rec.mem(OpClass::kLoadGlobal, static_cast<std::uint64_t>(i) * 4, 4,
               site, loc);
     }
-    benchmark::DoNotOptimize(lane.site_notes.data());
+    benchmark::DoNotOptimize(arena.site_notes().data());
   }
   state.SetItemsProcessed(state.iterations() * kAccesses);
 }
@@ -190,9 +188,51 @@ struct DivergentArmsKernel {
   }
 };
 
+// The two divergence shapes of Bialas & Strzelecki.  Fan-out: lane % 8
+// picks one of eight arms, each behind its own ctx.branch and with its own
+// load site, so the lanes' global accesses fall out of positional step.
+struct FanoutKernel {
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& a,
+                  DeviceBuffer<float>& b) const {
+    auto A = ctx.global(a);
+    auto B = ctx.global(b);
+    const auto i = static_cast<std::size_t>(ctx.global_thread_x());
+    const std::size_t n = a.size();
+    const std::size_t arm = i % 8;
+    float v = 0;
+    if (ctx.branch(arm == 0)) v = A.ld(i);
+    else if (ctx.branch(arm == 1)) v = A.ld((i + 1) % n);
+    else if (ctx.branch(arm == 2)) v = A.ld((i + 2) % n);
+    else if (ctx.branch(arm == 3)) v = A.ld((i + 3) % n);
+    else if (ctx.branch(arm == 4)) v = A.ld((i + 4) % n);
+    else if (ctx.branch(arm == 5)) v = A.ld((i + 5) % n);
+    else if (ctx.branch(arm == 6)) v = A.ld((i + 6) % n);
+    else if (ctx.branch(arm == 7)) v = A.ld((i + 7) % n);
+    B.st(i, v);
+  }
+};
+
+// Trip-count skew: lane l runs (l % 32) + 1 iterations of one load behind a
+// ctx.branch loop condition.  Every lane's sequence is a prefix of the next
+// lane's, so the rows stay clean while their masks shrink.
+struct TripSkewKernel {
+  template <class Ctx>
+  void operator()(Ctx& ctx, DeviceBuffer<float>& a,
+                  DeviceBuffer<float>&) const {
+    auto A = ctx.global(a);
+    const auto i = static_cast<std::size_t>(ctx.global_thread_x());
+    float v = 0;
+    for (std::size_t k = 0; ctx.branch(k <= i % 32); ++k)
+      v = ctx.add(v, A.ld((i + k) % a.size()));
+    benchmark::DoNotOptimize(v);
+  }
+};
+
 // collect_block_trace alone, over one recorded 256-thread block: the
-// converged StreamKernel (clean arena rows) or DivergentArmsKernel (dirty
-// streams, regrouped by (site, occurrence)).
+// converged StreamKernel and TripSkewKernel (clean arena rows), or
+// DivergentArmsKernel and FanoutKernel (dirty streams, regrouped by (site,
+// occurrence)).
 template <class Kernel>
 void BM_CollectBlockTrace(benchmark::State& state, Kernel kernel,
                           bool want_dirty) {
@@ -200,30 +240,31 @@ void BM_CollectBlockTrace(benchmark::State& state, Kernel kernel,
   Device dev;
   auto a = dev.alloc<float>(kThreads);
   auto b = dev.alloc<float>(kThreads);
-  std::vector<LaneTrace> lanes(kThreads);
   TraceArena arena;
   arena.begin_block(kSpec, kThreads);
   BlockRunner runner(1, kSpec.shared_mem_per_sm);
   BlockEnv env{&runner, Dim3(1), Dim3(kThreads), Dim3(0)};
   runner.run_direct(kThreads, [&](int tid) {
-    TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], &arena, tid));
+    TraceCtx ctx(&env, tid, LaneRecorder(&arena, tid));
     kernel(ctx, a, b);
   });
   bool dirty = false;
   for (int w = 0; w < arena.num_warps(); ++w)
-    for (int s = 0; s < kNumTraceSpaces; ++s)
+    for (int s = 0; s < kNumTraceStreams; ++s)
       dirty = dirty || arena.stream(w, s)->dirty();
   if (dirty != want_dirty) {
     state.SkipWithError("the recorded block did not take the intended path");
     return;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collect_block_trace(kSpec, lanes, arena));
+    benchmark::DoNotOptimize(collect_block_trace(kSpec, arena));
   }
   state.SetItemsProcessed(state.iterations() * kThreads);
 }
 BENCHMARK_CAPTURE(BM_CollectBlockTrace, clean, StreamKernel{}, false);
 BENCHMARK_CAPTURE(BM_CollectBlockTrace, dirty, DivergentArmsKernel{}, true);
+BENCHMARK_CAPTURE(BM_CollectBlockTrace, fanout, FanoutKernel{}, true);
+BENCHMARK_CAPTURE(BM_CollectBlockTrace, tripskew, TripSkewKernel{}, false);
 
 void BM_TracedLaunch(benchmark::State& state) {
   Device dev;

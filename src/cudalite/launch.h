@@ -360,9 +360,10 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
 
   try {
     // ---- Trace pass ----
-    // Each sampled block is traced into its own slot-private lane buffers
-    // and analyzed (coalescing / bank conflicts / constant broadcast /
-    // texture cache) into a self-contained BlockTrace, stored by sample
+    // Each sampled block is recorded into its slot's TraceArena (every
+    // counter, site note, memory access, branch outcome and barrier) and
+    // analyzed (coalescing / bank conflicts / constant broadcast / texture
+    // cache / divergence) into a self-contained BlockTrace, stored by sample
     // index.  The merge therefore happens in sample order no matter which
     // worker finished first, keeping TraceSummary bit-identical to the
     // sequential path.
@@ -370,8 +371,6 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
         detail::pick_sample_blocks(total_blocks, sample_blocks);
     if (!samples.empty()) {
       std::vector<BlockTrace> traces(samples.size());
-      std::vector<std::vector<LaneTrace>> slot_lanes(
-          static_cast<std::size_t>(slots));
       // Each slot owns a TraceArena whose SoA row capacity carries across
       // the blocks it traces, so steady-state recording allocates nothing.
       std::vector<TraceArena> slot_arenas(static_cast<std::size_t>(slots));
@@ -380,18 +379,15 @@ void launch_impl(Device& dev, Dim3 grid, Dim3 block, const LaunchOptions& opt,
           [&](int slot, std::uint64_t i) {
             BlockRunner& r = runners.at(slot);
             r.set_cancel_token(cancel);
-            auto& lanes = slot_lanes[static_cast<std::size_t>(slot)];
-            lanes.resize(static_cast<std::size_t>(threads));
-            for (auto& l : lanes) l.clear();
             TraceArena& arena = slot_arenas[static_cast<std::size_t>(slot)];
             arena.begin_block(spec, threads);
             BlockEnv env{&r, grid, block,
                          delinearize(static_cast<unsigned>(samples[i]), grid)};
             run_block(r, [&](int tid) {
-              TraceCtx ctx(&env, tid, LaneRecorder(&lanes[tid], &arena, tid));
+              TraceCtx ctx(&env, tid, LaneRecorder(&arena, tid));
               kernel(ctx, args...);
             });
-            traces[i] = collect_block_trace(spec, lanes, arena);
+            traces[i] = collect_block_trace(spec, arena);
           },
           cancel);
       stats.smem_per_block = runners.smem_bytes_used();

@@ -4,18 +4,18 @@
 //  - NullRecorder: every hook is an empty inline function; the functional
 //    pass over the full grid runs at native C++ speed.
 //  - LaneRecorder: feeds the timing model (used on sampled blocks only).
-//    Per-lane counts, branches and barriers go to the thread's LaneTrace;
-//    memory accesses stream into the block's TraceArena, one per-(warp,
-//    space) SoA batch each, and note_site is a last-site memo plus the
-//    arena's O(1) block-level intern table (trace_arena.h).  An access
-//    that joins a row another lane of its warp opened skips note_site
-//    altogether: that lane has already interned the site.
+//    Every event goes to the block's TraceArena (trace_arena.h): op counts
+//    and flops to the lane's counters; memory accesses, branch outcomes and
+//    barriers to the lane's warp streams, one SoA batch per (warp, stream).
+//    note_site is a last-site memo plus the arena's O(1) block-level intern
+//    table.  An access or barrier that joins a row another lane of its warp
+//    opened skips note_site altogether: that lane has already interned the
+//    site.
 #pragma once
 
 #include <cstdint>
 #include <source_location>
 
-#include "cudalite/lane_trace.h"
 #include "cudalite/trace_arena.h"
 #include "hw/isa.h"
 
@@ -44,18 +44,18 @@ class LaneRecorder {
 
   // `arena` has begun the block; `lane_id` (the thread's linear index in
   // it) locates this lane's warp streams.
-  LaneRecorder(LaneTrace* lane, TraceArena* arena, int lane_id)
-      : lane_(lane), arena_(arena) {
+  LaneRecorder(TraceArena* arena, int lane_id)
+      : arena_(arena), counters_(&arena->counters(lane_id)) {
     const int ws = arena->warp_size();
     sub_ = lane_id % ws;
-    for (int s = 0; s < kNumTraceSpaces; ++s)
+    for (int s = 0; s < kNumTraceStreams; ++s)
       streams_[s] = arena->stream(lane_id / ws, s);
   }
 
   void count(OpClass c, int n = 1) {
-    lane_->ops[c] += static_cast<std::uint64_t>(n);
+    counters_->ops[c] += static_cast<std::uint64_t>(n);
   }
-  void flops(double f) { lane_->flops += f; }
+  void flops(double f) { counters_->flops += f; }
 
   void mem(OpClass c, std::uint64_t addr, std::uint32_t size,
            std::uint32_t site, const std::source_location& loc) {
@@ -70,28 +70,25 @@ class LaneRecorder {
   }
 
   void branch_outcome(bool taken, std::uint32_t site) {
-    lane_->branches.push_back({site, taken});
+    streams_[kStreamBranch]->record(sub_, site, 0, false, taken ? 1 : 0);
   }
 
   void sync_site(std::uint32_t site, const std::source_location& loc) {
-    note_site(site, loc);
-    lane_->sync_sites.push_back(site);
+    if (streams_[kStreamSync]->record(sub_, site, 0, false, 0))
+      note_site(site, loc);
   }
 
  private:
   void note_site(std::uint32_t site, const std::source_location& loc) {
     // Last-site memo (kernels hammer one site in a loop) + O(1) intern.
-    // Block-level dedup: the first lane in the block to use a site holds its
-    // note; the collector scans all lanes for it.
     if (last_site_ == site) return;
     last_site_ = site;
-    if (arena_->intern_site(site))
-      lane_->site_notes.push_back({site, loc.file_name(), loc.line()});
+    arena_->note_site(site, loc);
   }
 
-  LaneTrace* lane_;
   TraceArena* arena_;
-  WarpSpaceBatch* streams_[kNumTraceSpaces] = {};
+  LaneCounters* counters_;
+  WarpSpaceBatch* streams_[kNumTraceStreams] = {};
   int sub_ = 0;                          // lane index within its warp
   std::uint64_t last_site_ = ~0ull;      // no site seen yet
 };

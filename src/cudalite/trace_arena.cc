@@ -50,10 +50,12 @@ void TraceArena::begin_block(const DeviceSpec& spec, int num_lanes) {
   warp_size_ = spec.warp_size;
   num_warps_ = (num_lanes + warp_size_ - 1) / warp_size_;
   const std::size_t need =
-      static_cast<std::size_t>(num_warps_) * kNumTraceSpaces;
+      static_cast<std::size_t>(num_warps_) * kNumTraceStreams;
   if (streams_.size() < need) streams_.resize(need);
   for (std::size_t i = 0; i < need; ++i) streams_[i].reset(warp_size_);
+  counters_.assign(static_cast<std::size_t>(num_lanes), LaneCounters{});
   sites_.clear();
+  notes_.clear();
 }
 
 }  // namespace g80

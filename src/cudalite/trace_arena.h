@@ -1,59 +1,74 @@
-// Arena-backed SoA trace storage: the trace pass's only recorder for memory
-// accesses.
+// Arena-backed SoA trace storage: the trace pass's only store.
 //
-// The arena reconstructs each warp-level memory instruction *positionally
-// while recording*, exploiting the structural fact the exec layer's
-// warp-batched stepping exploits: the BlockRunner resumes the lanes of a
-// warp in thread-index order, and within a converged warp every lane
-// executes the same instruction sequence between barriers.
+// Everything a traced block records lands in its TraceArena:
+//   - per-lane counters: each lane's instruction-class counts and flops;
+//   - block-level site notes: the source position of every call site the
+//     block used, one note per site (the arena interns sites block-wide);
+//   - six instruction streams per warp: one per memory space (global,
+//     shared, constant, texture), one of branch outcomes and one of barriers.
 //
-//   - Each (warp, address space) pair owns a WarpSpaceBatch: SoA columns with
-//     one row per warp-level instruction — a packed static key
-//     (site | size | store), an active-lane mask, and a lane-striped address
-//     column.
+// The arena reconstructs each warp-level instruction *positionally while
+// recording*, exploiting the structural fact the exec layer's warp-batched
+// stepping exploits: the BlockRunner resumes the lanes of a warp in
+// thread-index order, and within a converged warp every lane executes the
+// same instruction sequence between barriers.
+//
+//   - Each (warp, stream) pair owns a WarpSpaceBatch: SoA columns with one
+//     row per warp-level instruction — a packed static key, an active-lane
+//     mask, and a lane-striped address column.  A memory row's key is
+//     (site | size | store) and its slots hold the lanes' addresses; a branch
+//     row's key is the site and a slot holds 1 (taken) or 0 (not taken); a
+//     barrier row's key is the site and its slots are unused.
 //   - The first lane to reach position j appends row j; every later lane
-//     whose j-th access carries the same static key claims its mask bit and
-//     address slot with a single compare — no hashing, no per-access
+//     whose j-th event carries the same static key claims its mask bit and
+//     address slot with a single compare — no hashing, no per-event
 //     allocation (row capacity is reused across the blocks a slot traces).
-//   - A lane whose j-th access does NOT match row j has diverged from the
+//   - A lane whose j-th event does NOT match row j has diverged from the
 //     warp's common instruction stream.  It permanently falls back to a
-//     per-lane overflow vector and the stream is marked dirty; the collector
-//     then walks the exact per-lane sequences (prefix rows + overflow) and
-//     regroups them by (site, occurrence-at-site) into SoA rows of the same
-//     layout (trace_collect.h), so divergent warps get the same warp-level
+//     per-lane overflow vector of packed {key, addr} entries and the stream
+//     is marked dirty; the collector then walks the exact per-lane sequences
+//     (prefix rows + overflow) and regroups them by (site,
+//     occurrence-at-site) into SoA rows of the same layout
+//     (trace_collect.h), so divergent warps get the same warp-level
 //     instructions and the same analyzers.
-//   - record() reports whether an access joined an existing row; the
-//     recorder interns a site only for accesses that did not.
+//   - record() reports whether an event joined an existing row; the
+//     recorder interns a site only for events that did not.
 //
 // Why positional matching is exact for clean streams: every lane's matched
 // rows form a prefix [0, cursor), so row j groups exactly the lanes whose
-// j-th access it is, the shared key prefix makes the (site, occurrence) key
+// j-th event it is, the shared key prefix makes the (site, occurrence) key
 // of position j identical across lanes, and first-appearance order equals
-// row order.  tests/trace_batch_test.cc and invariant-fuzz property 6 pin
-// this: a block recorded with every stream forced dirty (`diverged = ~0u`
-// after begin_block, so every access takes the overflow + regroup path)
-// must collect to the same BlockTrace as the clean-row recording.
+// row order.  The same argument makes a barrier site's row count the
+// largest number of times any one lane of the warp reached it.
+// tests/trace_batch_test.cc and invariant-fuzz property 6 pin this: a block
+// recorded with every stream forced dirty (`diverged = ~0u` after
+// begin_block, so every event takes the overflow + regroup path) must
+// collect to the same BlockTrace as the clean-row recording.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <source_location>
 #include <vector>
 
 #include "hw/device_spec.h"
 #include "hw/isa.h"
-#include "mem/access.h"
 
 namespace g80 {
 
 // ---------------------------------------------------------------------------
-// Address spaces the recorder batches (dense index into TraceArena streams).
+// A warp's streams (dense index into TraceArena streams): the memory spaces
+// first, then branch outcomes and barriers.
 // ---------------------------------------------------------------------------
 
-inline constexpr int kNumTraceSpaces = 4;
+inline constexpr int kNumTraceSpaces = 4;  // memory spaces
 inline constexpr int kSpaceGlobal = 0;
 inline constexpr int kSpaceShared = 1;
 inline constexpr int kSpaceConst = 2;
 inline constexpr int kSpaceTexture = 3;
+inline constexpr int kStreamBranch = 4;
+inline constexpr int kStreamSync = 5;
+inline constexpr int kNumTraceStreams = 6;
 
 // OpClass -> batch space (-1: not a recorded memory access).
 constexpr int trace_space_of(OpClass c) {
@@ -69,8 +84,9 @@ constexpr int trace_space_of(OpClass c) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed static identity of one warp-level memory instruction.  `size` is a
+// Packed static identity of one warp-level instruction.  `size` is a
 // sizeof(), so bits 32..62 always hold it; bit 63 carries the direction.
+// Branch and barrier keys are the bare site (size 0, no direction).
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t pack_trace_key(std::uint32_t site, std::uint32_t size,
@@ -109,8 +125,25 @@ class SiteInterner {
   std::size_t count_ = 0;
 };
 
+// Source position of one recorder call site, noted on the block's first use
+// so the collector can translate site hashes back to file:line for
+// attribution.  `file` is std::source_location's static string; no
+// ownership.
+struct SiteNote {
+  std::uint32_t site = 0;
+  const char* file = "";
+  std::uint32_t line = 0;
+};
+
+// One event of a lane that left its warp's rows: the packed key and the
+// address slot's value.
+struct TraceEvent {
+  std::uint64_t key = 0;
+  std::uint64_t addr = 0;
+};
+
 // ---------------------------------------------------------------------------
-// One (warp, space) instruction stream.
+// One (warp, stream) instruction stream.
 // ---------------------------------------------------------------------------
 
 struct WarpSpaceBatch {
@@ -126,7 +159,7 @@ struct WarpSpaceBatch {
   std::array<std::uint32_t, kMaxLanes> cursor{};
   // Lanes that mismatched their positional row and record to overflow now.
   std::uint32_t diverged = 0;
-  std::array<std::vector<MemAccess>, kMaxLanes> overflow;
+  std::array<std::vector<TraceEvent>, kMaxLanes> overflow;
 
   bool dirty() const { return diverged != 0; }
   std::size_t rows() const { return keys.size(); }
@@ -147,17 +180,17 @@ struct WarpSpaceBatch {
   }
 
   // The recorder hot path: positional prefix matching.  Returns false when
-  // the access joined an existing row: an earlier lane of this warp opened
+  // the event joined an existing row: an earlier lane of this warp opened
   // that row with the same key, so it already met this site.  True when the
-  // access opened a row or went to overflow.
+  // event opened a row or went to overflow.
   bool record(int sub, std::uint32_t site, std::uint32_t size, bool store,
               std::uint64_t addr) {
     const std::uint32_t bit = 1u << sub;
+    const std::uint64_t key = pack_trace_key(site, size, store);
     if (diverged & bit) {
-      overflow[sub].push_back({addr, size, site, true, store});
+      overflow[sub].push_back({key, addr});
       return true;
     }
-    const std::uint64_t key = pack_trace_key(site, size, store);
     std::uint32_t& cur = cursor[sub];
     if (cur < keys.size()) {
       if (keys[cur] == key) {
@@ -169,7 +202,7 @@ struct WarpSpaceBatch {
       // This lane left the warp's common stream: record it (and everything
       // it does from now on in this space) per-lane; the collector regroups.
       diverged |= bit;
-      overflow[sub].push_back({addr, size, site, true, store});
+      overflow[sub].push_back({key, addr});
       return true;
     }
     // cur == rows(): this lane extends the stream with a new row.
@@ -189,9 +222,16 @@ constexpr bool supported_trace_warp_size(int warp_size) {
          warp_size % 2 == 0;
 }
 
+// One lane's instruction-class counts and flops.
+struct LaneCounters {
+  OpCounts ops;
+  double flops = 0;
+};
+
 // ---------------------------------------------------------------------------
-// Per-block arena: one WarpSpaceBatch per (warp, space) plus the site intern
-// table.  One arena per worker slot; all capacity is reused block-to-block.
+// Per-block arena: one WarpSpaceBatch per (warp, stream), the lanes'
+// counters, and the site intern table with its notes.  One arena per worker
+// slot; all capacity is reused block-to-block.
 // ---------------------------------------------------------------------------
 
 class TraceArena {
@@ -203,20 +243,34 @@ class TraceArena {
 
   int warp_size() const { return warp_size_; }
   int num_warps() const { return num_warps_; }
+  int num_lanes() const { return static_cast<int>(counters_.size()); }
 
-  WarpSpaceBatch* stream(int warp, int space) {
-    return &streams_[static_cast<std::size_t>(warp) * kNumTraceSpaces + space];
+  WarpSpaceBatch* stream(int warp, int s) {
+    return &streams_[static_cast<std::size_t>(warp) * kNumTraceStreams + s];
   }
-  const WarpSpaceBatch& stream(int warp, int space) const {
-    return streams_[static_cast<std::size_t>(warp) * kNumTraceSpaces + space];
+  const WarpSpaceBatch& stream(int warp, int s) const {
+    return streams_[static_cast<std::size_t>(warp) * kNumTraceStreams + s];
   }
 
-  // O(1) note_site support: true iff this block has not seen `site` yet.
-  bool intern_site(std::uint32_t site) { return sites_.insert(site); }
+  LaneCounters& counters(int lane) {
+    return counters_[static_cast<std::size_t>(lane)];
+  }
+  const LaneCounters& counters(int lane) const {
+    return counters_[static_cast<std::size_t>(lane)];
+  }
+
+  // Notes `site`'s source position on the block's first use of it (O(1)).
+  void note_site(std::uint32_t site, const std::source_location& loc) {
+    if (sites_.insert(site))
+      notes_.push_back({site, loc.file_name(), loc.line()});
+  }
+  const std::vector<SiteNote>& site_notes() const { return notes_; }
 
  private:
   std::vector<WarpSpaceBatch> streams_;
+  std::vector<LaneCounters> counters_;
   SiteInterner sites_;
+  std::vector<SiteNote> notes_;
   int warp_size_ = 0;
   int num_warps_ = 0;
 };

@@ -1,7 +1,9 @@
 #include "cudalite/trace_collect.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "cudalite/trace_arena.h"
@@ -81,8 +83,8 @@ void for_each_lane_access(const WarpSpaceBatch& s, int sub, F&& f) {
   const std::uint32_t prefix = s.cursor[static_cast<std::size_t>(sub)];
   for (std::uint32_t j = 0; j < prefix; ++j)
     f(s.keys[j], s.addrs[j * stride + static_cast<std::size_t>(sub)]);
-  for (const MemAccess& a : s.overflow[static_cast<std::size_t>(sub)])
-    f(pack_trace_key(a.site, a.size, a.store), a.addr);
+  for (const TraceEvent& e : s.overflow[static_cast<std::size_t>(sub)])
+    f(e.key, e.addr);
 }
 
 // Reusable SoA columns a dirty stream is regrouped into: the same layout as
@@ -171,8 +173,8 @@ bool group_store(const WarpAccess& acc) {
 // kernel; linear probing is cheaper than hashing here).
 class SiteAccumulator {
  public:
-  explicit SiteAccumulator(const std::vector<LaneTrace>& lanes)
-      : lanes_(lanes) {}
+  explicit SiteAccumulator(const std::vector<SiteNote>& notes)
+      : notes_(notes) {}
 
   SiteStats& at(std::uint32_t site) {
     for (SiteStats& s : sites_) {
@@ -180,15 +182,12 @@ class SiteAccumulator {
     }
     SiteStats s;
     s.site = site;
-    for (const LaneTrace& lane : lanes_) {
-      for (const SiteNote& n : lane.site_notes) {
-        if (n.site == site) {
-          s.file = n.file;
-          s.line = n.line;
-          break;
-        }
+    for (const SiteNote& n : notes_) {
+      if (n.site == site) {
+        s.file = n.file;
+        s.line = n.line;
+        break;
       }
-      if (s.line != 0) break;
     }
     sites_.push_back(s);
     return sites_.back();
@@ -197,21 +196,9 @@ class SiteAccumulator {
   std::vector<SiteStats> take() { return std::move(sites_); }
 
  private:
-  const std::vector<LaneTrace>& lanes_;
+  const std::vector<SiteNote>& notes_;
   std::vector<SiteStats> sites_;
 };
-
-// (site, count) pairs for the barrier tally: a kernel has a handful of
-// __syncthreads() sites, so a linear scan over a flat vector is cheaper
-// than hashing every recorded barrier.
-using SiteCounts = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
-
-std::uint64_t& count_at(SiteCounts& counts, std::uint32_t site) {
-  for (auto& [s, n] : counts) {
-    if (s == site) return n;
-  }
-  return counts.emplace_back(site, 0).second;
-}
 
 // ---------------------------------------------------------------------------
 // Per-instruction accumulation, shared verbatim by the clean (SoA row) and
@@ -308,24 +295,36 @@ void for_each_instruction(const WarpSpaceBatch& s, int lane_count,
     on_group(group_site(acc), group_store(acc), acc);
 }
 
+// A branch row is divergent when its active lanes disagree: some slots hold
+// 1 (taken) and some 0.
+bool divergent(const SoaWarpAccess& row) {
+  std::uint32_t taken = 0;
+  for (std::uint32_t m = row.mask; m != 0; m &= m - 1) {
+    const int lane = std::countr_zero(m);
+    if (row.addrs[lane] != 0) taken |= 1u << lane;
+  }
+  return taken != 0 && taken != row.mask;
+}
+
+// Branch and barrier keys are bare sites, so their groups never mix keys.
+void never_mixed(std::uint32_t, bool, const WarpAccess&) {
+  G80_CHECK(!"a branch or barrier group mixed static keys");
+}
+
 }  // namespace
 
 BlockTrace collect_block_trace(const DeviceSpec& spec,
-                               const std::vector<LaneTrace>& lanes,
                                const TraceArena& arena) {
-  G80_CHECK(!lanes.empty());
+  const int num_lanes = arena.num_lanes();
+  G80_CHECK(num_lanes > 0);
   const int ws = spec.warp_size;
-  const int num_warps = (static_cast<int>(lanes.size()) + ws - 1) / ws;
+  const int num_warps = (num_lanes + ws - 1) / ws;
   G80_CHECK(arena.warp_size() == ws && arena.num_warps() == num_warps);
 
   BlockTrace block;
   block.warps.resize(num_warps);
-  SiteAccumulator sites(lanes);
+  SiteAccumulator sites(arena.site_notes());
   RegroupedRows scratch;  // dirty-stream regrouping, reused across streams
-  // Branch outcomes per (site, occurrence): bit 0 taken, bit 1 not taken.
-  OccurrenceRows branch_rows;
-  std::vector<std::uint8_t> branch_outcomes;
-  SiteCounts warp_syncs, lane_syncs;  // barrier counts, reused across warps
 
   // One texture cache per block approximates the per-SM cache shared by the
   // blocks resident on an SM (they run the same kernel, so per-block
@@ -335,33 +334,17 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
   for (int w = 0; w < num_warps; ++w) {
     WarpTrace& wt = block.warps[w];
     const int lo = w * ws;
-    const int hi = std::min<int>(lo + ws, static_cast<int>(lanes.size()));
+    const int hi = std::min(lo + ws, num_lanes);
 
     // --- Instruction counts: per-class max over lanes (exact when the warp
     // is divergence-free). ---
     for (std::size_t c = 0; c < kNumOpClasses; ++c) {
       std::uint64_t mx = 0;
       for (int k = lo; k < hi; ++k)
-        mx = std::max(mx, lanes[k].ops.counts[c]);
+        mx = std::max(mx, arena.counters(k).ops.counts[c]);
       wt.ops.counts[c] = mx;
     }
-    for (int k = lo; k < hi; ++k) wt.lane_flops += lanes[k].flops;
-
-    // --- Branch divergence: group outcomes by (site, occurrence) ---
-    branch_rows.clear();
-    branch_outcomes.clear();
-    for (int k = lo; k < hi; ++k) {
-      branch_rows.begin_lane();
-      for (const BranchEvent& b : lanes[k].branches) {
-        bool opened = false;
-        const std::uint32_t r = branch_rows.row(b.site, opened);
-        if (opened) branch_outcomes.push_back(0);
-        branch_outcomes[r] |= b.taken ? 1 : 2;
-      }
-    }
-    wt.branches += branch_outcomes.size();
-    for (const std::uint8_t o : branch_outcomes)
-      if (o == 3) ++wt.divergent_branches;
+    for (int k = lo; k < hi; ++k) wt.lane_flops += arena.counters(k).flops;
 
     const int lanes_in_warp = hi - lo;
 
@@ -414,19 +397,24 @@ BlockTrace collect_block_trace(const DeviceSpec& spec,
           accumulate_texture(spec, wt, sites, site, hits, misses);
         });
 
-    // --- Barriers: warp-level count per call site (max over lanes, the same
+    // --- Branch divergence: one row per warp-level branch ---
+    for_each_instruction(
+        arena.stream(w, kStreamBranch), lanes_in_warp, scratch,
+        [&](std::uint32_t, bool, const SoaWarpAccess& row) {
+          ++wt.branches;
+          if (divergent(row)) ++wt.divergent_branches;
+        },
+        never_mixed);
+
+    // --- Barriers: one row per warp-level bar.sync, so a site's count is
+    // the most times any one lane reached it (the same max-over-lanes
     // convention as the per-class instruction counts above). ---
-    warp_syncs.clear();
-    for (int k = lo; k < hi; ++k) {
-      lane_syncs.clear();
-      for (const std::uint32_t site : lanes[k].sync_sites)
-        ++count_at(lane_syncs, site);
-      for (const auto& [site, n] : lane_syncs) {
-        std::uint64_t& warp_n = count_at(warp_syncs, site);
-        warp_n = std::max(warp_n, n);
-      }
-    }
-    for (const auto& [site, n] : warp_syncs) sites.at(site).syncs += n;
+    for_each_instruction(
+        arena.stream(w, kStreamSync), lanes_in_warp, scratch,
+        [&](std::uint32_t site, bool, const SoaWarpAccess&) {
+          ++sites.at(site).syncs;
+        },
+        never_mixed);
   }
   block.sites = sites.take();
   merge_site_stats(block.sites, {});  // impose the deterministic ordering

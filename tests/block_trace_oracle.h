@@ -4,19 +4,20 @@
 // BlockTracer records one block exactly as launch()'s trace pass does — a
 // BlockRunner runs TraceCtx + LaneRecorder threads into a TraceArena, then
 // collect_block_trace builds the BlockTrace — with one switch: an
-// `all_dirty` tracer marks every stream of its arena diverged right after
-// begin_block.  Every access then goes to the per-lane overflow vectors and
-// the collector regroups it by (site, occurrence-at-site): the per-lane
-// grouping that defines what a warp-level instruction is.  A clean recording
-// of the same block must collect to the same BlockTrace.  Like a launch's
-// worker slot, one tracer reuses its runner, arena and lane buffers across
-// every block it records.
+// `all_dirty` tracer marks all six streams of every warp diverged right
+// after begin_block.  Every access, branch outcome and barrier then goes to
+// the per-lane overflow vectors and the collector regroups it by (site,
+// occurrence-at-site): the per-lane grouping that defines what a warp-level
+// instruction is.  A clean recording of the same block must collect to the
+// same BlockTrace.  Like a launch's worker slot, one tracer reuses its
+// runner and arena across every block it records.
 //
 // reference::collect_block_trace is the slow, obviously-exact collector the
-// production one is checked against: it reconstructs every lane's access
-// sequence from the arena, groups lanes by (site, occurrence) through hash
-// maps into AoS WarpAccess groups, scores each with the AoS analyzers, and
-// groups branch outcomes the same way.
+// production one is checked against: it reconstructs every lane's event
+// sequences from the arena, groups lanes' accesses by (site, occurrence)
+// through hash maps into AoS WarpAccess groups and scores each with the AoS
+// analyzers, groups branch outcomes the same way, and tallies each barrier
+// site as the maximum over lanes of the lane's count there.
 #pragma once
 
 #include <algorithm>
@@ -54,17 +55,19 @@ struct InstKeyHash {
   }
 };
 
-// Lane `sub`'s exact access sequence in one stream: its matched prefix rows,
-// then its overflow tail.
+// Lane `sub`'s exact event sequence in one stream: its matched prefix rows,
+// then its overflow tail.  A branch event's `addr` is 1 when taken.
 inline std::vector<MemAccess> lane_sequence(const WarpSpaceBatch& s, int sub) {
   std::vector<MemAccess> out;
   const auto k = static_cast<std::size_t>(sub);
-  for (std::uint32_t j = 0; j < s.cursor[k]; ++j) {
-    const std::uint64_t key = s.keys[j];
-    out.push_back({s.row_addrs(j)[k], trace_key_size(key),
-                   trace_key_site(key), true, trace_key_store(key)});
-  }
-  out.insert(out.end(), s.overflow[k].begin(), s.overflow[k].end());
+  const auto unpack = [](std::uint64_t key, std::uint64_t addr) {
+    return MemAccess{addr, trace_key_size(key), trace_key_site(key), true,
+                     trace_key_store(key)};
+  };
+  for (std::uint32_t j = 0; j < s.cursor[k]; ++j)
+    out.push_back(unpack(s.keys[j], s.row_addrs(j)[k]));
+  for (const TraceEvent& e : s.overflow[k])
+    out.push_back(unpack(e.key, e.addr));
   return out;
 }
 
@@ -103,22 +106,20 @@ inline const MemAccess& first_active(const WarpAccess& acc) {
 }
 
 inline BlockTrace collect_block_trace(const DeviceSpec& spec,
-                                      const std::vector<LaneTrace>& lanes,
                                       const TraceArena& arena) {
   const int ws = spec.warp_size;
-  const int n = static_cast<int>(lanes.size());
+  const int n = arena.num_lanes();
   BlockTrace block;
   std::map<std::uint32_t, SiteStats> sites;
   const auto site_at = [&](std::uint32_t site) -> SiteStats& {
     auto [it, inserted] = sites.try_emplace(site);
     if (inserted) {
       it->second.site = site;
-      for (const LaneTrace& lane : lanes)
-        for (const SiteNote& note : lane.site_notes)
-          if (note.site == site && it->second.line == 0) {
-            it->second.file = note.file;
-            it->second.line = note.line;
-          }
+      for (const SiteNote& note : arena.site_notes())
+        if (note.site == site && it->second.line == 0) {
+          it->second.file = note.file;
+          it->second.line = note.line;
+        }
     }
     return it->second;
   };
@@ -130,15 +131,17 @@ inline BlockTrace collect_block_trace(const DeviceSpec& spec,
     WarpTrace& wt = block.warps.emplace_back();
     for (std::size_t c = 0; c < kNumOpClasses; ++c)
       for (int k = lo; k < hi; ++k)
-        wt.ops.counts[c] = std::max(wt.ops.counts[c], lanes[k].ops.counts[c]);
-    for (int k = lo; k < hi; ++k) wt.lane_flops += lanes[k].flops;
+        wt.ops.counts[c] =
+            std::max(wt.ops.counts[c], arena.counters(k).ops.counts[c]);
+    for (int k = lo; k < hi; ++k) wt.lane_flops += arena.counters(k).flops;
 
     std::unordered_map<InstKey, std::pair<bool, bool>, InstKeyHash> outcomes;
     for (int k = lo; k < hi; ++k) {
       std::unordered_map<std::uint32_t, std::uint32_t> occurrence;
-      for (const BranchEvent& b : lanes[k].branches) {
+      for (const MemAccess& b :
+           lane_sequence(arena.stream(w, kStreamBranch), k - lo)) {
         auto& [taken, not_taken] = outcomes[{b.site, occurrence[b.site]++}];
-        (b.taken ? taken : not_taken) = true;
+        (b.addr != 0 ? taken : not_taken) = true;
       }
     }
     wt.branches = outcomes.size();
@@ -204,7 +207,9 @@ inline BlockTrace collect_block_trace(const DeviceSpec& spec,
     std::map<std::uint32_t, std::uint64_t> warp_syncs;
     for (int k = lo; k < hi; ++k) {
       std::map<std::uint32_t, std::uint64_t> lane_syncs;
-      for (const std::uint32_t site : lanes[k].sync_sites) ++lane_syncs[site];
+      for (const MemAccess& b :
+           lane_sequence(arena.stream(w, kStreamSync), k - lo))
+        ++lane_syncs[b.site];
       for (const auto& [site, count] : lane_syncs)
         warp_syncs[site] = std::max(warp_syncs[site], count);
     }
@@ -233,18 +238,16 @@ class BlockTracer {
   template <class Kernel, class... Args>
   BlockTrace record(std::uint64_t linear, const Kernel& kernel,
                     Args&... args) {
-    lanes_.resize(static_cast<std::size_t>(threads_));
-    for (auto& l : lanes_) l.clear();
     arena_.begin_block(spec_, threads_);
     if (all_dirty_) {
       for (int w = 0; w < arena_.num_warps(); ++w)
-        for (int s = 0; s < kNumTraceSpaces; ++s)
+        for (int s = 0; s < kNumTraceStreams; ++s)
           arena_.stream(w, s)->diverged = ~0u;
     }
     BlockEnv env{&runner_, grid_, block_,
                  delinearize(static_cast<unsigned>(linear), grid_)};
     const auto body = [&](int tid) {
-      TraceCtx ctx(&env, tid, LaneRecorder(&lanes_[tid], &arena_, tid));
+      TraceCtx ctx(&env, tid, LaneRecorder(&arena_, tid));
       kernel(ctx, args...);
     };
     if (uses_sync_) {
@@ -252,19 +255,19 @@ class BlockTracer {
     } else {
       runner_.run_direct(threads_, body);
     }
-    return collect_block_trace(spec_, lanes_, arena_);
+    return collect_block_trace(spec_, arena_);
   }
 
   // reference::collect_block_trace of the last recorded block.
   BlockTrace reference() const {
-    return reference::collect_block_trace(spec_, lanes_, arena_);
+    return reference::collect_block_trace(spec_, arena_);
   }
 
   // Whether the last recorded block sent any stream to the divergence
   // fallback.
   bool any_dirty() const {
     for (int w = 0; w < arena_.num_warps(); ++w)
-      for (int s = 0; s < kNumTraceSpaces; ++s)
+      for (int s = 0; s < kNumTraceStreams; ++s)
         if (arena_.stream(w, s).dirty()) return true;
     return false;
   }
@@ -277,7 +280,6 @@ class BlockTracer {
   bool all_dirty_;
   BlockRunner runner_;
   TraceArena arena_;
-  std::vector<LaneTrace> lanes_;
 };
 
 // The TraceSummary a launch with `sample_blocks` must report, built from

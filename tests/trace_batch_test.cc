@@ -15,6 +15,7 @@
 // traces of its sampled blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <source_location>
 #include <vector>
@@ -325,13 +326,30 @@ bool has_mixed_group(const TraceArena& arena, int threads) {
   return false;
 }
 
-// Synthetic blocks recorded straight through LaneRecorder, most with every
-// stream forced dirty: 1-8 sites in each of the four spaces, random program
-// lengths, 1-32 lanes in the last warp, lanes that skip memory and branch
-// sites at lane-specific rates (the tpacf shape), coalesced, broadcast and
-// scattered addresses, and in half the blocks one site issued at two widths
-// (per lane, so that groups mix widths, or per step, so that they do not).
-// collect_block_trace must agree with the reference on every block.
+// Whether some barrier of `arena` is a warp-level instruction that not every
+// lane of its warp reached.
+bool has_partial_barrier(const TraceArena& arena, int threads) {
+  for (int w = 0; w < arena.num_warps(); ++w) {
+    const int lanes =
+        std::min(arena.warp_size(), threads - w * arena.warp_size());
+    for (const WarpAccess& acc :
+         reference::stream_instructions(arena.stream(w, kStreamSync), lanes)) {
+      const auto active = std::count_if(
+          acc.begin(), acc.end(), [](const MemAccess& a) { return a.active; });
+      if (active < lanes) return true;
+    }
+  }
+  return false;
+}
+
+// Synthetic blocks recorded straight through LaneRecorder, most with all six
+// streams of every warp forced dirty: 1-8 sites in each of the four spaces,
+// random program lengths, 1-32 lanes in the last warp, lanes that skip
+// memory, branch and barrier sites at lane-specific rates (the tpacf shape),
+// coalesced, broadcast and scattered addresses, 1-3 barrier sites, and in
+// half the blocks one site issued at two widths (per lane, so that groups
+// mix widths, or per step, so that they do not).  collect_block_trace must
+// agree with the reference on every block.
 TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
   const DeviceSpec spec = DeviceSpec::geforce_8800_gtx();
   std::mt19937_64 rng(0x5eed1e55u);
@@ -356,16 +374,15 @@ TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
   };
 
   TraceArena arena;
-  std::vector<LaneTrace> lanes;
-  int mixed_blocks = 0, naturally_dirty = 0, divergent_branches = 0;
+  int mixed_blocks = 0, naturally_dirty = 0, divergent_branches = 0,
+      partial_barrier_blocks = 0;
   for (int iter = 0; iter < 400; ++iter) {
     const int threads = uniform(1, 96);
     const bool force_dirty = uniform(0, 3) != 0;
-    lanes.assign(static_cast<std::size_t>(threads), LaneTrace{});
     arena.begin_block(spec, threads);
     if (force_dirty) {
       for (int w = 0; w < arena.num_warps(); ++w)
-        for (int sp = 0; sp < kNumTraceSpaces; ++sp)
+        for (int sp = 0; sp < kNumTraceStreams; ++sp)
           arena.stream(w, sp)->diverged = ~0u;
     }
 
@@ -393,9 +410,17 @@ TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
     std::vector<std::pair<int, int>> branches(
         static_cast<std::size_t>(uniform(0, 24)));
     for (auto& b : branches) b = {uniform(0, 3), uniform(0, 2)};
+    std::vector<std::uint32_t> sync_sites(
+        static_cast<std::size_t>(uniform(1, 3)));
+    for (auto& site : sync_sites) site = static_cast<std::uint32_t>(rng());
+    std::vector<std::uint32_t> syncs(
+        static_cast<std::size_t>(uniform(0, 12)));
+    for (auto& site : syncs)
+      site = sync_sites[static_cast<std::size_t>(
+          uniform(0, static_cast<int>(sync_sites.size()) - 1))];
 
     for (int t = 0; t < threads; ++t) {
-      LaneRecorder rec(&lanes[static_cast<std::size_t>(t)], &arena, t);
+      LaneRecorder rec(&arena, t);
       const int skip = uniform(0, 4);  // skips a step with odds skip / 8
       for (std::size_t j = 0; j < program.size(); ++j) {
         if (uniform(0, 7) < skip) continue;
@@ -416,17 +441,23 @@ TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
         rec.branch_outcome(taken == 2 ? uniform(0, 1) == 1 : taken == 1,
                            branch_sites[site]);
       }
+      for (const std::uint32_t site : syncs) {
+        if (uniform(0, 7) < skip) continue;
+        rec.count(OpClass::kSync);
+        rec.sync_site(site, loc);
+      }
     }
 
     bool dirty = false;
     for (int w = 0; w < arena.num_warps(); ++w)
-      for (int sp = 0; sp < kNumTraceSpaces; ++sp)
+      for (int sp = 0; sp < kNumTraceStreams; ++sp)
         dirty = dirty || arena.stream(w, sp)->dirty();
     if (!force_dirty && dirty) ++naturally_dirty;
     if (has_mixed_group(arena, threads)) ++mixed_blocks;
+    if (has_partial_barrier(arena, threads)) ++partial_barrier_blocks;
 
-    const BlockTrace got = collect_block_trace(spec, lanes, arena);
-    const BlockTrace want = reference::collect_block_trace(spec, lanes, arena);
+    const BlockTrace got = collect_block_trace(spec, arena);
+    const BlockTrace want = reference::collect_block_trace(spec, arena);
     EXPECT_TRUE(got.warps == want.warps) << "block " << iter;
     EXPECT_TRUE(got.sites == want.sites) << "block " << iter;
     for (const WarpTrace& wt : want.warps)
@@ -436,6 +467,7 @@ TEST(TraceBatch, DirtyRegroupMatchesReferenceOnRandomBlocks) {
   EXPECT_GT(mixed_blocks, 20);
   EXPECT_GT(naturally_dirty, 20);
   EXPECT_GT(divergent_branches, 100);
+  EXPECT_GT(partial_barrier_blocks, 20);
 }
 
 }  // namespace

@@ -121,23 +121,22 @@ TEST(TraceGrouping, BranchArmsAreSeparateInstructions) {
 // Direct collector-level check with hand-recorded arena streams.
 TEST(TraceGrouping, CollectorHandlesRaggedLanes) {
   const auto spec = DeviceSpec::geforce_8800_gtx();
-  std::vector<LaneTrace> lanes(32);
   TraceArena arena;
   arena.begin_block(spec, 32);
   WarpSpaceBatch& global = *arena.stream(0, kSpaceGlobal);
   // All lanes: one load at site 7, perfectly coalesced.  Lane 3 only: an
   // extra load at site 9 first, which takes it off the warp's rows.
   for (int k = 0; k < 32; ++k) {
-    lanes[k].ops[OpClass::kLoadGlobal] = 1;
+    arena.counters(k).ops[OpClass::kLoadGlobal] = 1;
     if (k == 3) {
-      lanes[k].ops[OpClass::kLoadGlobal] = 2;
+      arena.counters(k).ops[OpClass::kLoadGlobal] = 2;
       global.record(k, 9, 4, false, 4096);
     }
     global.record(k, 7, 4, false, static_cast<std::uint64_t>(4 * k));
   }
   EXPECT_TRUE(global.dirty());
 
-  const auto block = collect_block_trace(spec, lanes, arena);
+  const auto block = collect_block_trace(spec, arena);
   ASSERT_EQ(block.warps.size(), 1u);
   const auto& w = block.warps[0];
   EXPECT_EQ(w.global_instructions, 2u);
